@@ -3,9 +3,10 @@
 Candidates of size k are built by joining frequent (k-1)-itemsets that share
 a (k-2)-prefix, skipping joins that would put two categories of the same
 variable into one itemset (their support is structurally zero), then pruning
-any candidate with an infrequent (k-1)-subset. Counting is a bitset subset
-test per candidate and may be spread over worker threads; output is
-independent of transaction order and thread count.
+any candidate with an infrequent (k-1)-subset. A candidate's support is the
+popcount of the AND of its items' bitmaps in the item-major transaction
+set, and counting may be spread over worker threads; output is independent
+of transaction order and thread count.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -65,9 +67,16 @@ class SupportSpec:
         return cls.of_fraction(value)
 
     def resolve(self, n_transactions: int) -> int:
+        """Minimum support count over n_transactions.
+
+        A fraction resolves to the smallest count >= 1 that reaches it,
+        taking the fraction as the decimal it prints as, in exact rational
+        arithmetic: 0.07 of 100 resolves to 7 (the float product is
+        7.000000000000001).
+        """
         if self.count is not None:
             return self.count
-        return max(1, math.ceil(self.fraction * n_transactions))
+        return max(1, math.ceil(Fraction(repr(self.fraction)) * n_transactions))
 
     def describe(self) -> str:
         if self.count is not None:

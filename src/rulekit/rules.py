@@ -16,7 +16,9 @@ pruned before ranking by descending lift.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
+from itertools import combinations
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -129,28 +131,31 @@ def generate_rules(
     else:
         consequents = list(range(len(ts.universe)))
 
-    rules: list[Rule] = []
+    # One pass over the lattice: each itemset emits one rule per frequent
+    # consequent it holds. Groups are created in consequent-id order, so the
+    # result is ordered by (consequent, level, itemset).
+    count_y: dict[int, int] = {}
     for y in consequents:
-        count_y = freq.support((y,))
-        if count_y is None:
-            if case.consequent is not None:
-                logger.warning(
-                    "consequent %s is not frequent at resolved support count %d; no rules",
-                    ts.universe.token(y),
-                    threshold,
-                )
+        count = freq.support((y,))
+        if count is not None:
+            count_y[y] = count
+        elif case.consequent is not None:
+            logger.warning(
+                "consequent %s is not frequent at resolved support count %d; no rules",
+                ts.universe.token(y),
+                threshold,
+            )
+    by_consequent: dict[int, list[Rule]] = {y: [] for y in count_y}
+    for k in sorted(freq.by_level):
+        if k > case.max_rule_items or (k == 1 and not allow_empty_antecedent):
             continue
-        for k in sorted(freq.by_level):
-            if k > case.max_rule_items:
+        for itemset, count_xy in freq.by_level[k]:
+            if count_xy < threshold:
                 continue
-            for itemset, count_xy in freq.by_level[k]:
-                if y not in itemset:
+            for y in itemset:
+                if y not in count_y:
                     continue
                 antecedent = tuple(i for i in itemset if i != y)
-                if not antecedent and not allow_empty_antecedent:
-                    continue
-                if count_xy < threshold:
-                    continue
                 if antecedent:
                     count_x = freq.support(antecedent)
                     if count_x is None:
@@ -160,9 +165,9 @@ def generate_rules(
                         )
                 else:
                     count_x = n
-                s, c, lift = score(n, count_x, count_y, count_xy)
+                s, c, lift = score(n, count_x, count_y[y], count_xy)
                 if c >= case.min_confidence and lift >= case.min_lift:
-                    rules.append(
+                    by_consequent[y].append(
                         Rule(
                             id=None,
                             antecedent=antecedent,
@@ -173,26 +178,31 @@ def generate_rules(
                             lift=lift,
                         )
                     )
-    return rules
+    return [rule for group in by_consequent.values() for rule in group]
 
 
 def prune_redundant(rules: Sequence[Rule]) -> list[Rule]:
     """Drop rules dominated by a simpler rule with the same consequent.
 
-    X -> Y is removed iff some retained X' -> Y has X' a strict subset of X
-    and confidence at least as high. Dominance is transitive along subset
-    chains, so keeping exactly the undominated rules is a fixed point.
+    X -> Y is removed iff some X' -> Y in the input has X' a strict subset
+    of X and confidence at least as high. Dominance is transitive along
+    subset chains, so keeping exactly the undominated rules is a fixed
+    point. Each rule looks up its proper-subset antecedents in a map from
+    antecedent to the best confidence among rules with that antecedent.
     """
     if len({r.consequent for r in rules}) > 1:
         raise ValidationError("prune_redundant requires all rules to share one consequent")
-    antecedent_sets = [frozenset(r.antecedent) for r in rules]
+    keys = [tuple(sorted(set(r.antecedent))) for r in rules]
+    best: dict[tuple[int, ...], float] = {}
+    for key, rule in zip(keys, rules):
+        if key not in best or rule.confidence > best[key]:
+            best[key] = rule.confidence
     retained = []
-    for i, rule in enumerate(rules):
+    for key, rule in zip(keys, rules):
         dominated = any(
-            j != i
-            and antecedent_sets[j] < antecedent_sets[i]
-            and other.confidence >= rule.confidence
-            for j, other in enumerate(rules)
+            best.get(subset, -math.inf) >= rule.confidence
+            for size in range(len(key))
+            for subset in combinations(key, size)
         )
         if not dominated:
             retained.append(rule)

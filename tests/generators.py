@@ -15,7 +15,10 @@ import itertools
 import random
 from typing import Iterable, Mapping, Sequence
 
+from rulekit.apriori import FrequentItemsets
+from rulekit.rules import MiningCase, Rule, score
 from rulekit.schema import DataDictionary, Record, RecordSet, VariableSchema
+from rulekit.transactions import TransactionSet
 
 Item = tuple[str, str]
 
@@ -223,6 +226,61 @@ def oracle_rules(
                 if confidence >= min_confidence and lift >= min_lift:
                     out[(frozenset(combo), y)] = (count_xy, support, confidence, lift)
     return out
+
+
+def reference_generate_rules(
+    freq: FrequentItemsets,
+    ts: TransactionSet,
+    case: MiningCase,
+    allow_empty_antecedent: bool = False,
+) -> list[Rule]:
+    """Rule generation by its per-consequent definition.
+
+    For each consequent in item-id order, rescan the whole lattice level by
+    level and emit (Z without Y) -> Y for every frequent Z holding Y.
+    """
+    n = ts.n_transactions
+    threshold = case.min_support.resolve(n)
+    if case.consequent is not None:
+        consequents = [ts.universe.item_id(*case.consequent)]
+    else:
+        consequents = list(range(len(ts.universe)))
+    rules = []
+    for y in consequents:
+        count_y = freq.support((y,))
+        if count_y is None:
+            continue
+        for k in sorted(freq.by_level):
+            if k > case.max_rule_items:
+                continue
+            for itemset, count_xy in freq.by_level[k]:
+                if y not in itemset:
+                    continue
+                antecedent = tuple(i for i in itemset if i != y)
+                if (not antecedent and not allow_empty_antecedent) or count_xy < threshold:
+                    continue
+                count_x = freq.support(antecedent) if antecedent else n
+                s, c, lift = score(n, count_x, count_y, count_xy)
+                if c >= case.min_confidence and lift >= case.min_lift:
+                    rules.append(Rule(None, antecedent, y, count_xy, s, c, lift))
+    return rules
+
+
+def reference_prune_redundant(rules: Sequence[Rule]) -> list[Rule]:
+    """Redundancy pruning by its pairwise definition, O(R^2).
+
+    A rule is dropped iff another rule of the list has a strict-subset
+    antecedent and confidence at least as high.
+    """
+    antecedents = [frozenset(r.antecedent) for r in rules]
+    return [
+        rule
+        for i, rule in enumerate(rules)
+        if not any(
+            antecedents[j] < antecedents[i] and other.confidence >= rule.confidence
+            for j, other in enumerate(rules)
+        )
+    ]
 
 
 def oracle_best_partition(

@@ -1,11 +1,13 @@
 """Support thresholds and level-wise frequent itemset mining."""
 
 import logging
+import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from generators import (
@@ -57,15 +59,29 @@ class TestSupportSpec:
         # a tiny fraction like 0.00005 over small n resolves below one record
         assert SupportSpec.of_fraction(0.00005).resolve(103) == 1
 
+    def test_resolve_uses_the_exact_fraction(self):
+        # 0.07 * 100 is 7.000000000000001 in floating point
+        assert SupportSpec.of_fraction(0.07).resolve(100) == 7
+
+    @settings(max_examples=200)
+    @given(st.sampled_from([100, 1000, 10**6]), st.integers(0, 10**6), st.data())
+    def test_resolve_matches_exact_rational(self, denominator, n, data):
+        # a short decimal fraction, as written in a config file
+        exact = Fraction(data.draw(st.integers(1, denominator)), denominator)
+        resolved = SupportSpec.of_fraction(float(exact)).resolve(n)
+        assert resolved == max(1, math.ceil(exact * n))
+
     @settings(max_examples=50)
     @given(
         st.floats(min_value=1e-9, max_value=1.0, exclude_min=False),
         st.integers(1, 10_000),
     )
+    # the float product is 3117.0, the exact one just above it: resolves to 3118
+    @example(0.8694560669456067, 3585)
     def test_resolve_bounds(self, fraction, n):
         resolved = SupportSpec.of_fraction(fraction).resolve(n)
         assert 1 <= resolved
-        assert resolved - 1 < fraction * n or resolved == 1
+        assert resolved - 1 < Fraction(repr(fraction)) * n or resolved == 1
 
 
 @pytest.fixture

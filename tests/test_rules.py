@@ -14,6 +14,8 @@ from generators import (
     planted_rule_records,
     random_record_set,
     record_itemsets,
+    reference_generate_rules,
+    reference_prune_redundant,
     two_item_records,
 )
 from rulekit.apriori import SupportSpec, mine_frequent
@@ -148,6 +150,32 @@ class TestGenerateRules:
         rules = generate_rules(freq, ts, case)
         assert rules and all(len(r.antecedent) <= 1 for r in rules)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.booleans(),
+        st.integers(1, 6),
+        st.sampled_from((0.01, 0.3, 0.6)),
+        st.sampled_from((0.0, 1.0, 1.3)),
+        st.integers(2, 4),
+    )
+    def test_matches_per_consequent_reference(
+        self, seed, constrained, allow_empty, min_count, min_confidence, min_lift, max_items
+    ):
+        rng = random.Random(seed)
+        rs = random_record_set(rng)
+        ts = encode(rs, list(rs.dictionary.names))
+        consequent = rng.choice(ts.universe.items) if constrained else None
+        case = MiningCase(name="ref", consequent=consequent,
+                          min_support=SupportSpec.of_count(min_count),
+                          min_confidence=min_confidence, min_lift=min_lift,
+                          max_rule_items=max_items)
+        freq = mine_frequent(ts, case.min_support, 4)
+        got = generate_rules(freq, ts, case, allow_empty_antecedent=allow_empty)
+        want = reference_generate_rules(freq, ts, case, allow_empty_antecedent=allow_empty)
+        assert got == want
+
 
 class TestPruneRedundant:
     def _rule(self, antecedent, confidence, consequent=9):
@@ -192,6 +220,22 @@ class TestPruneRedundant:
             ]
             once = prune_redundant(rules)
             assert prune_redundant(once) == once
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 4), unique=True, max_size=4),
+                st.sampled_from((0.25, 0.5, 0.75, 1.0)),
+            ),
+            max_size=40,
+        )
+    )
+    def test_matches_pairwise_reference(self, specs):
+        # few items and confidences: duplicate antecedents, the empty
+        # antecedent and confidence ties are all common
+        rules = [self._rule(antecedent, confidence) for antecedent, confidence in specs]
+        assert prune_redundant(rules) == reference_prune_redundant(rules)
 
 
 class TestRankRules:

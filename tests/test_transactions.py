@@ -94,6 +94,8 @@ def test_support_count_rejects_out_of_range(small_rs):
     ts = encode(small_rs, ["weather"])
     with pytest.raises(ValidationError):
         support_count(ts, (99,))
+    with pytest.raises(ValidationError):  # numpy would read -1 as the last row
+        support_count(ts, (0, -1))
 
 
 def test_encode_requires_selection_and_records(small_rs):
@@ -115,7 +117,7 @@ def test_encode_rejects_unknown_variable(small_rs):
 def test_masks_are_read_only(small_rs):
     ts = encode(small_rs, ["weather"])
     with pytest.raises(ValueError):
-        ts.masks[0, 0] = 1
+        ts.bitmaps[0, 0] = 1
 
 
 def test_more_than_64_items_spans_words():
@@ -126,9 +128,9 @@ def test_more_than_64_items_spans_words():
     rs = make_records(d, rows)
     ts = encode(rs, list(d.names), full_universe=True)
     assert len(ts.universe) == 75
-    assert ts.masks.shape == (40, 2)
+    assert ts.bitmaps.shape == (75, 1)  # one bitmap row per item, 40 bits each
     transactions = record_itemsets(rs, d.names)
-    # probe itemsets that straddle the 64-bit word boundary
+    # probe itemsets with ids on both sides of 64
     for ids in [(60, 66), (0, 64), (63, 64, 74)]:
         items = [ts.universe.items[i] for i in ids]
         assert support_count(ts, ids) == oracle_support(transactions, items)
@@ -161,6 +163,24 @@ def test_support_count_matches_oracle(seed, data):
     )
     items = [ts.universe.items[i] for i in ids]
     assert support_count(ts, ids) == oracle_support(transactions, items)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65])
+def test_support_count_ignores_padding_bits(n):
+    # n off a byte or word boundary leaves padding bits in the last byte/word
+    spec = {"a": ("a0", "a1"), "b": ("b0", "b1", "b2"), "c": ("c0", "c1")}
+    rng = random.Random(n)
+    rows = [{var: rng.choice(cats) for var, cats in spec.items()} for _ in range(n)]
+    rs = make_records(make_dictionary(spec), rows)
+    ts = encode(rs, list(spec), full_universe=True)
+    transactions = record_itemsets(rs, list(spec))
+    items = ts.universe.items
+    probes = [()] + [(i,) for i in range(len(items))] + [(0, 2), (1, 4, 6), (5,) * 2]
+    for ids in probes:
+        want = oracle_support(transactions, [items[i] for i in ids])
+        assert support_count(ts, ids) == want
+    by_id = sorted(item_frequencies(ts), key=lambda f: f.item_id)
+    assert [f.count for f in by_id] == [oracle_support(transactions, [i]) for i in items]
 
 
 def test_dump_transactions(tmp_path, small_rs):
