@@ -322,13 +322,18 @@ def _prepare(cfg: RunConfig) -> RecordSet:
 
 def _describe(cfg: RunConfig, rs: RecordSet, bundle: ReportBundle, out: Path) -> None:
     with _stage("describe"):
-        value_counts = {
-            var: {cat: 0 for cat in rs.dictionary.variable(var).categories}
-            for var in rs.dictionary.names
-        }
-        for rec in rs.records:
-            for var, val in rec.values.items():
-                value_counts[var][val] += 1
+        if cfg.crosstab_rows is not None:
+            row_vars = cfg.crosstab_rows
+        else:
+            row_vars = tuple(v for v in rs.dictionary.names if v != cfg.response)
+        tables = {var: cross_tabulate(rs, var, cfg.response) for var in row_vars}
+        # A variable's value counts are the row sums of its table; a variable
+        # with none (the response, or one left out of crosstab_rows) is
+        # tabulated against itself.
+        value_counts = {}
+        for var in rs.dictionary.names:
+            ct = tables[var] if var in tables else cross_tabulate(rs, var, var)
+            value_counts[var] = dict(zip(ct.row_categories, map(sum, ct.cells)))
         write_json(
             out / "summary.json",
             {
@@ -344,13 +349,8 @@ def _describe(cfg: RunConfig, rs: RecordSet, bundle: ReportBundle, out: Path) ->
                 "value_counts": value_counts,
             },
         )
-        if cfg.crosstab_rows is not None:
-            row_vars = cfg.crosstab_rows
-        else:
-            row_vars = tuple(v for v in rs.dictionary.names if v != cfg.response)
         for var in row_vars:
-            ct = cross_tabulate(rs, var, cfg.response)
-            bundle.add(*emit_crosstab(ct, out / f"crosstab_{_safe_name(var)}.csv"))
+            bundle.add(*emit_crosstab(tables[var], out / f"crosstab_{_safe_name(var)}.csv"))
 
 
 def _select_vars(

@@ -5,24 +5,53 @@ variable's categories left and the rest (plus anything unseen) right. Splits
 are chosen by Gini impurity decrease, with the subset search exhaustive up
 to 12 present categories and greedy beyond that.
 
+Layout. A tree is a set of read-only parallel arrays indexed by node id, as
+in ranger (Wright & Ziegler, JSS 2017): split feature (-1 at a leaf), left
+and right child ids, majority class, per-class in-bag counts, and a routing
+table per node holding one bool per category of its split feature, True
+where that category goes left. Prediction moves every query row down one
+tree level per step through these arrays, for a whole block of trees at once.
+
+Growth. Trees are grown a block at a time, in lockstep: each step takes the
+next depth-first node of every tree in the block that can still split,
+counts the (category, class) tables of all their candidate features with
+bincount, scores every category partition of every table at once and
+splits. Blocks hold up to _BLOCK_ROWS bootstrap rows, so the block
+partition depends only on the record and tree counts; blocks are the work
+items of the thread pool.
+
+Determinism. Each tree draws from its own RNG stream keyed by (seed,
+purpose, tree index). Lockstep growth still visits each tree's nodes in the
+depth-first, left-child-first order of a one-node-at-a-time grower, so every
+tree makes the same draws in the same order and numbers its nodes the same
+way. The Gini scores come from the same float operations on the same exact
+integer counts, so ties break the same way too: the first feature, then the
+first partition wins. A forest thus depends on neither the block size nor
+the thread count.
+
 Importance is Mean Decrease Accuracy: for every tree, the accuracy on its
 out-of-bag records is compared with the accuracy after permuting one
 feature's column within those records; the per-feature mean over trees is
 the mda, reported with its standard deviation. A feature no tree ever
-splits on scores exactly 0.
-
-Everything is deterministic for a given seed: each tree draws from its own
-RNG stream keyed by (seed, purpose, tree index), so results do not depend
-on thread count.
+splits on scores exactly 0. A permuted row follows its unpermuted path down
+to the first node that splits on the permuted feature, so it is routed
+again only from there.
 """
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import logging
 import math
+from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache, partial
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +65,13 @@ logger = logging.getLogger(__name__)
 # Exhaustive binary-subset search enumerates 2^(m-1) - 1 partitions; 12
 # present categories cap that at 2047 candidates per node and feature.
 _EXHAUSTIVE_MAX_CATEGORIES = 12
+
+# Bootstrap rows of the trees grown together in one block.
+_BLOCK_ROWS = 1 << 19
+
+# Rows gathered at once within a growth step, query rows routed at once, and
+# out-of-bag rows per block of trees in prediction; bounds the temporaries.
+_CHUNK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -57,8 +93,7 @@ class ForestConfig:
             raise ValidationError(f"max_depth {self.max_depth} must be >= 1")
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     """Internal node (feature >= 0) or leaf (feature == -1).
 
     left_categories holds the category indices of the split feature routed
@@ -79,9 +114,25 @@ class TreeNode:
 
 @dataclass(frozen=True, eq=False)
 class DecisionTree:
-    nodes: tuple[TreeNode, ...]
+    """One tree as read-only parallel arrays indexed by node id; the root is 0.
+
+    feature is the split feature and left/right the child ids (all -1 at a
+    leaf); class_index is the majority class (first on ties) of the
+    (node, class) in-bag counts in class_counts. Node i sends category c of
+    its feature left iff routing[route_start[i] + c]; route_start has one
+    more entry than there are nodes, and a leaf's table is empty.
+    """
+
+    feature: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    class_index: np.ndarray
+    class_counts: np.ndarray
+    route_start: np.ndarray
+    routing: np.ndarray
     in_bag: np.ndarray  # per-record bootstrap multiplicity
     oob_indices: np.ndarray
+    nodes: tuple[TreeNode, ...]  # the same tree as TreeNode objects
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +145,7 @@ class Forest:
     n_records: int
     config: ForestConfig
     mtry: int
+    fingerprint: str  # sha256 of the training codes (features, then response)
 
 
 @dataclass(frozen=True)
@@ -206,77 +258,321 @@ def best_partition(
 
 
 def _encode_columns(rs: RecordSet, variables: Sequence[str]) -> np.ndarray:
-    """Category-index matrix, one column per variable in the given order."""
-    cols = []
-    for name in variables:
-        var = rs.dictionary.variable(name)
-        index = {c: i for i, c in enumerate(var.categories)}
-        cols.append([index[r.values[name]] for r in rs.records])
-    return np.array(cols, dtype=np.int64).transpose().copy()
+    """Read-only category codes, one contiguous row per variable.
+
+    The shape is (len(variables), len(rs)) and the dtype the smallest
+    unsigned integer that holds every code (uint8 up to 256 categories).
+    """
+    categories = [rs.dictionary.variable(name).categories for name in variables]
+    dtype = np.min_scalar_type(max(len(cats) for cats in categories) - 1)
+    values = [r.values for r in rs.records]
+    codes = np.empty((len(variables), len(rs)), dtype=dtype)
+    for row, name, cats in zip(codes, variables, categories):
+        index = {c: i for i, c in enumerate(cats)}
+        row[:] = np.fromiter(
+            map(index.__getitem__, map(itemgetter(name), values)), dtype=dtype, count=len(rs)
+        )
+    codes.setflags(write=False)
+    return codes
 
 
-def _grow_tree(
+def _fingerprint(codes: np.ndarray) -> str:
+    return hashlib.sha256(codes.tobytes()).hexdigest()
+
+
+def _tree_blocks(n_records: int, n_trees: int, max_rows: int) -> list[range]:
+    """Consecutive tree blocks of near-equal size, each of at most max_rows
+    rows at n_records per tree, unless a single tree is larger."""
+    per_block = max(1, max_rows // n_records)
+    n_blocks = -(-n_trees // per_block)
+    bounds = [i * n_trees // n_blocks for i in range(n_blocks + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+@cache
+def _partition_bits(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row p - 1 is partition mask p over the first m - 1 present categories,
+    as bool and as float64; the enumeration order of best_partition."""
+    masks = np.arange(1, 1 << (m - 1), dtype=np.uint32)
+    bits = ((masks[:, None] >> np.arange(m - 1)) & 1).astype(bool)
+    as_float = bits.astype(np.float64)
+    bits.setflags(write=False)
+    as_float.setflags(write=False)
+    return bits, as_float
+
+
+def _score_partitions(cont: np.ndarray, min_node_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """best_partition of every (category x class) table in cont, at once.
+
+    Returns each table's best Gini decrease (-inf where best_partition
+    returns None) and a (table, category) mask of the categories it sends
+    left. Sums of counts are exact in float64 in any order, and the Gini
+    arithmetic after them repeats best_partition's operations, so values and
+    tie-breaks are identical; tables that need the greedy search call it.
+    """
+    n_tables, width, n_classes = cont.shape
+    counts = cont.astype(np.float64)
+    present = counts.sum(axis=2) > 0
+    m = present.sum(axis=1)
+    class_totals = counts.sum(axis=1)
+    n_t = class_totals.sum(axis=1)
+    parent = 1.0 - (class_totals**2).sum(axis=1) / (n_t * n_t)
+    best = np.full(n_tables, -np.inf)
+    left_mask = np.zeros((n_tables, width), dtype=bool)
+    sel = np.flatnonzero((m >= 2) & (m <= _EXHAUSTIVE_MAX_CATEGORIES))
+    if len(sel):
+        top = int(m[sel].max())
+        bits, bits_float = _partition_bits(top)
+        # A table's present categories take positions 0.. in category order;
+        # its last one stays right, as in best_partition, and positions
+        # m - 1 .. top - 2 are empty padding. A partition that sets a padding
+        # bit repeats an earlier one (or leaves the left side empty), so the
+        # first best partition is the one best_partition finds.
+        rank = np.cumsum(present[sel], axis=1) - 1
+        movable = present[sel] & (rank < (m[sel] - 1)[:, None])
+        g, c = np.nonzero(movable)
+        at = rank[g, c]
+        cp = np.zeros((len(sel), top - 1, n_classes))
+        cp[g, at] = counts[sel[g], c]
+        category = np.full((len(sel), top - 1), width)  # padding -> spare column
+        category[g, at] = c
+        left = bits_float @ cp
+        right = class_totals[sel][:, None, :] - left
+        nl = left.sum(axis=2)
+        nt = n_t[sel][:, None]
+        nr = nt - nl
+        with np.errstate(divide="ignore", invalid="ignore"):
+            child = (nl - (left**2).sum(axis=2) / nl + nr - (right**2).sum(axis=2) / nr) / nt
+        decrease = parent[sel][:, None] - child
+        valid = (nl >= min_node_size) & (nr >= min_node_size)
+        decrease = np.where(valid, decrease, -np.inf)
+        choice = decrease.argmax(axis=1)  # first index wins ties
+        value = decrease[np.arange(len(sel)), choice]
+        found = value > 0.0
+        best[sel[found]] = value[found]
+        g, j = np.nonzero(bits[choice] & found[:, None])
+        wide = np.zeros((len(sel), width + 1), dtype=bool)
+        wide[g, category[g, j]] = True
+        left_mask[sel] = wide[:, :width]
+    for i in np.flatnonzero(m > _EXHAUSTIVE_MAX_CATEGORIES).tolist():
+        greedy = best_partition(cont[i], min_node_size)
+        if greedy is not None:
+            best[i] = greedy[0]
+            left_mask[i, list(greedy[1])] = True
+    return best, left_mask
+
+
+def _row_chunks(lengths: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive (lo, hi) node ranges of at most _CHUNK_ROWS rows in all,
+    or of one node when that node alone has more."""
+    ends = np.cumsum(lengths).tolist()
+    chunks, lo, done = [], 0, 0
+    while lo < len(ends):
+        hi = max(lo + 1, bisect_right(ends, done + _CHUNK_ROWS, lo))
+        chunks.append((lo, hi))
+        lo, done = hi, ends[hi - 1]
+    return chunks
+
+
+def _node_rows(
+    samples: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(node, position, record) of every sample in the nodes' ranges, in order."""
+    node = np.repeat(np.arange(len(lengths)), lengths)
+    pos = np.arange(len(node)) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return node, pos, samples[pos]
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the garbage collector: tens of thousands of new acyclic node
+    tuples would otherwise set off full collections over every live object,
+    which cost more than building the nodes. Process-wide, so only for use
+    on the calling thread while no worker runs."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _tree_nodes(
+    feature: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    class_index: np.ndarray,
+    class_counts: np.ndarray,
+    route_start: np.ndarray,
+    routing: np.ndarray,
+) -> tuple[TreeNode, ...]:
+    """A tree's arrays as TreeNode objects; equal routing tables and class
+    counts share one frozenset and one tuple."""
+    table_bytes = routing.tobytes()
+    starts = route_start.tolist()
+    left_categories = [frozenset()] * len(feature)
+    tables: dict[bytes, frozenset[int]] = {}
+    for i in np.flatnonzero(feature >= 0).tolist():
+        table = table_bytes[starts[i] : starts[i + 1]]
+        if table not in tables:
+            tables[table] = frozenset(compress(range(len(table)), table))
+        left_categories[i] = tables[table]
+    counts: dict[tuple[int, ...], tuple[int, ...]] = {}
+    fields = zip(
+        feature.tolist(),
+        left_categories,
+        left.tolist(),
+        right.tolist(),
+        class_index.tolist(),
+        (
+            counts.setdefault(c, c)
+            for c in zip(*[iter(class_counts.ravel().tolist())] * class_counts.shape[1])
+        ),
+    )
+    return tuple(map(partial(tuple.__new__, TreeNode), fields))
+
+
+def _grow_block(
     X: np.ndarray,
     y: np.ndarray,
     n_cats: np.ndarray,
     n_classes: int,
     mtry: int,
     cfg: ForestConfig,
-    rng: np.random.Generator,
-) -> tuple[tuple[TreeNode, ...], np.ndarray]:
+    block: range,
+) -> list[tuple[np.ndarray, ...]]:
+    """Grow the trees of one block in lockstep; tree i uses stream (seed, 0, i).
+
+    Returns each tree's read-only arrays in DecisionTree's field order,
+    without nodes. samples holds every tree's bootstrap rows end to end; a
+    node owns a contiguous range of it, which a split reorders into left
+    then right.
+    Each tree's depth-first stack holds (node id, sample start, sample end,
+    depth, splittable) of the nodes still to visit.
+    """
     n = len(y)
-    n_features = X.shape[1]
-    boot = rng.integers(0, n, size=n)
-    nodes: list[TreeNode | None] = [None]
-    stack: list[tuple[int, np.ndarray, int]] = [(0, boot, 0)]
-    while stack:
-        nid, rows, depth = stack.pop()
-        counts = np.bincount(y[rows], minlength=n_classes)
-        class_index = int(np.argmax(counts))
-        pure = int((counts > 0).sum()) <= 1
-        capped = cfg.max_depth is not None and depth >= cfg.max_depth
-        too_small = len(rows) < 2 * cfg.min_node_size
-        split: tuple[float, int, frozenset[int]] | None = None
-        if not (pure or capped or too_small):
-            feats = np.sort(rng.choice(n_features, size=mtry, replace=False))
-            for f in feats:
-                f = int(f)
-                cont = np.bincount(
-                    X[rows, f] * n_classes + y[rows], minlength=n_cats[f] * n_classes
-                ).reshape(n_cats[f], n_classes)
-                found = best_partition(cont, cfg.min_node_size)
-                if found is not None and (split is None or found[0] > split[0]):
-                    split = (found[0], f, found[1])
-        if split is None:
-            nodes[nid] = TreeNode(
-                feature=-1,
-                left_categories=frozenset(),
-                left=-1,
-                right=-1,
-                class_index=class_index,
-                class_counts=tuple(int(c) for c in counts),
-            )
-            continue
-        _, f, left_cats = split
-        lut = np.zeros(n_cats[f], dtype=bool)
-        lut[list(left_cats)] = True
-        mask = lut[X[rows, f]]
-        left_id = len(nodes)
-        nodes.append(None)
-        right_id = len(nodes)
-        nodes.append(None)
-        nodes[nid] = TreeNode(
-            feature=f,
-            left_categories=left_cats,
-            left=left_id,
-            right=right_id,
-            class_index=class_index,
-            class_counts=tuple(int(c) for c in counts),
+    n_trees = len(block)
+    width = int(n_cats.max())
+    cells = width * n_classes
+    rngs = [np.random.default_rng([cfg.seed % 2**64, 0, i]) for i in block]
+    samples = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
+    root_counts = np.array([
+        np.bincount(y[samples[j * n : (j + 1) * n]], minlength=n_classes)
+        for j in range(n_trees)
+    ])
+    root_ok = ((root_counts > 0).sum(axis=1) > 1) & (n >= 2 * cfg.min_node_size)
+    stacks = [[(0, j * n, (j + 1) * n, 0, ok)] for j, ok in enumerate(root_ok.tolist())]
+    n_nodes = np.ones(n_trees, dtype=np.intp)
+    # Per step, of the nodes that split: tree, node id, feature, left child id
+    # (the right child's is one more), routing table and children's counts.
+    ids = np.zeros(0, dtype=np.intp)
+    splits = [(ids, ids, ids, ids, np.zeros((0, width), dtype=bool),
+               np.zeros((0, 2, n_classes), dtype=np.int64))]
+    live = list(range(n_trees))
+    while live:
+        # The next depth-first node of each tree that can split; nodes that
+        # cannot are leaves already and draw nothing from the tree's RNG.
+        batch = []
+        for j in live:
+            stack = stacks[j]
+            while stack:
+                entry = stack.pop()
+                if entry[4]:
+                    batch.append((j, *entry[:4]))
+                    break
+        if not batch:
+            break
+        live = [entry[0] for entry in batch]
+        n_batch = len(batch)
+        feats = np.array(
+            [np.sort(rngs[j].choice(len(X), size=mtry, replace=False)) for j in live]
         )
-        stack.append((right_id, rows[~mask], depth + 1))
-        stack.append((left_id, rows[mask], depth + 1))
-    assert all(node is not None for node in nodes)
-    return tuple(nodes), boot
+        tree, nid, starts, ends, depth = (np.array(column) for column in zip(*batch))
+        lengths = ends - starts
+        chunks = _row_chunks(lengths)
+        cont = np.empty((n_batch, mtry, cells), dtype=np.int64)
+        for lo, hi in chunks:
+            node, _, rows = _node_rows(samples, starts[lo:hi], lengths[lo:hi])
+            key_base = node * cells + y[rows]
+            for s in range(mtry):
+                key = X[np.repeat(feats[lo:hi, s], lengths[lo:hi]), rows].astype(np.intp)
+                key *= n_classes
+                key += key_base
+                cont[lo:hi, s] = np.bincount(key, minlength=(hi - lo) * cells).reshape(
+                    hi - lo, cells
+                )
+        cont = cont.reshape(n_batch * mtry, width, n_classes)
+        value, left_mask = _score_partitions(cont, cfg.min_node_size)
+        slot = value.reshape(n_batch, mtry).argmax(axis=1)  # first feature wins ties
+        table = np.arange(n_batch) * mtry + slot
+        split = value[table] > 0.0
+        if not split.any():
+            continue
+        route = left_mask[table] & split[:, None]
+        feature = feats[np.arange(n_batch), slot]
+        for lo, hi in chunks:
+            # Reorder each split node's rows: left child's first, then right's.
+            node, pos, rows = _node_rows(samples, starts[lo:hi], lengths[lo:hi])
+            go_left = route[lo:hi][node, X[np.repeat(feature[lo:hi], lengths[lo:hi]), rows]]
+            side = (2 * node + ~go_left).astype(np.min_scalar_type(2 * (hi - lo)))
+            samples[pos] = rows[np.argsort(side, kind="stable")]
+        table = table[split]
+        left_counts = (cont[table] * route[split, :, None]).sum(axis=1)
+        child_counts = np.stack([left_counts, cont[table].sum(axis=1) - left_counts], axis=1)
+        sizes = child_counts.sum(axis=2)
+        splittable = ((child_counts > 0).sum(axis=2) > 1) & (sizes >= 2 * cfg.min_node_size)
+        if cfg.max_depth is not None:
+            splittable &= (depth[split] + 1 < cfg.max_depth)[:, None]
+        tree = tree[split]
+        left = n_nodes[tree]
+        n_nodes[tree] += 2
+        splits.append((tree, nid[split], feature[split], left, route[split], child_counts))
+        for j, child, start, mid, end, d, ok in zip(
+            tree.tolist(),
+            left.tolist(),
+            starts[split].tolist(),
+            (starts[split] + sizes[:, 0]).tolist(),
+            ends[split].tolist(),
+            depth[split].tolist(),
+            splittable.tolist(),
+        ):
+            stacks[j].append((child + 1, mid, end, d + 1, ok[1]))
+            stacks[j].append((child, start, mid, d + 1, ok[0]))
+    tree, nid, feature, left, route, child_counts = (np.concatenate(c) for c in zip(*splits))
+    del splits
+    by_tree = np.argsort(tree, kind="stable")
+    bounds = np.searchsorted(tree[by_tree], np.arange(n_trees + 1))
+    out = []
+    for j in range(n_trees):
+        mine = by_tree[bounds[j] : bounds[j + 1]]
+        mine = mine[np.argsort(nid[mine])]  # internal nodes in id order
+        size = int(n_nodes[j])
+        feature_j = np.full(size, -1, dtype=np.intp)
+        feature_j[nid[mine]] = feature[mine]
+        left_j = np.full(size, -1, dtype=np.intp)
+        left_j[nid[mine]] = left[mine]
+        class_counts = np.empty((size, n_classes), dtype=np.int64)
+        class_counts[0] = root_counts[j]
+        class_counts[left[mine]] = child_counts[mine, 0]
+        class_counts[left[mine] + 1] = child_counts[mine, 1]
+        widths = np.where(feature_j >= 0, n_cats[feature_j], 0)
+        in_bag = np.bincount(samples[j * n : (j + 1) * n], minlength=n)
+        arrays = (
+            feature_j,
+            left_j,
+            np.where(left_j >= 0, left_j + 1, -1),
+            class_counts.argmax(axis=1),
+            class_counts,
+            np.concatenate(([0], np.cumsum(widths))),
+            route[mine][np.arange(width) < n_cats[feature[mine]][:, None]],
+            in_bag,
+            np.flatnonzero(in_bag == 0),
+        )
+        for a in arrays:
+            a.setflags(write=False)
+        out.append(arrays)
+    return out
 
 
 def train(
@@ -301,8 +597,8 @@ def train(
         raise ValidationError(f"response {response!r} cannot also be a feature")
     if len(rs) < 2:
         raise ValidationError("training needs at least 2 records")
-    X = _encode_columns(rs, features)
-    y = _encode_columns(rs, (response,))[:, 0]
+    codes = _encode_columns(rs, features + (response,))
+    X, y = codes[:-1], codes[-1]
     class_labels = rs.dictionary.variable(response).categories
     if len(np.unique(y)) < 2:
         raise ValidationError(
@@ -313,22 +609,21 @@ def train(
         raise ValidationError(f"mtry {mtry} out of range [1, {len(features)}]")
     n = len(rs)
     n_cats = np.array(
-        [len(rs.dictionary.variable(v).categories) for v in features], dtype=np.int64
+        [len(rs.dictionary.variable(v).categories) for v in features], dtype=np.intp
     )
-    n_classes = len(class_labels)
 
-    def build(i: int) -> DecisionTree:
-        rng = np.random.default_rng([cfg.seed % 2**64, 0, i])
-        nodes, boot = _grow_tree(X, y, n_cats, n_classes, mtry, cfg, rng)
-        in_bag = np.bincount(boot, minlength=n)
-        in_bag.setflags(write=False)
-        oob = np.flatnonzero(in_bag == 0)
-        oob.setflags(write=False)
-        return DecisionTree(nodes=nodes, in_bag=in_bag, oob_indices=oob)
+    def grow(block: range) -> list[tuple[np.ndarray, ...]]:
+        return _grow_block(X, y, n_cats, len(class_labels), mtry, cfg, block)
 
-    trees = run_ordered(build, range(cfg.n_trees), threads=threads)
+    blocks = run_ordered(grow, _tree_blocks(n, cfg.n_trees, _BLOCK_ROWS), threads=threads)
+    with _gc_paused():
+        trees = tuple(
+            DecisionTree(*arrays, nodes=_tree_nodes(*arrays[:7]))
+            for block in blocks
+            for arrays in block
+        )
     return Forest(
-        trees=tuple(trees),
+        trees=trees,
         response_variable=response,
         features=features,
         class_labels=class_labels,
@@ -336,38 +631,79 @@ def train(
         n_records=n,
         config=cfg,
         mtry=mtry,
+        fingerprint=_fingerprint(codes),
     )
 
 
-def _tree_predict(tree: DecisionTree, Xm: np.ndarray, n_cats: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(Xm), dtype=np.int64)
-    if len(Xm) == 0:
-        return out
-    stack: list[tuple[int, np.ndarray]] = [(0, np.arange(len(Xm)))]
-    while stack:
-        nid, rows = stack.pop()
-        node = tree.nodes[nid]
-        if node.is_leaf:
-            out[rows] = node.class_index
-            continue
-        lut = np.zeros(n_cats[node.feature], dtype=bool)
-        lut[list(node.left_categories)] = True
-        mask = lut[Xm[rows, node.feature]]
-        left_rows = rows[mask]
-        right_rows = rows[~mask]
-        if len(left_rows):
-            stack.append((node.left, left_rows))
-        if len(right_rows):
-            stack.append((node.right, right_rows))
+def _concat_trees(trees: Sequence[DecisionTree]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Root ids and the trees' node arrays end to end, ids offset to match."""
+    sizes = [len(t.feature) for t in trees]
+    roots = np.cumsum(sizes) - sizes
+    route_sizes = [len(t.routing) for t in trees]
+    route_offsets = np.cumsum(route_sizes) - route_sizes
+    flat = (
+        np.concatenate([t.feature for t in trees]),
+        np.concatenate([t.left + r for t, r in zip(trees, roots)]),
+        np.concatenate([t.right + r for t, r in zip(trees, roots)]),
+        np.concatenate([t.class_index for t in trees]),
+        np.concatenate([t.route_start[:-1] + o for t, o in zip(trees, route_offsets)]),
+        np.concatenate([t.routing for t in trees]),
+    )
+    return roots, flat
+
+
+def _predict(
+    flat: tuple[np.ndarray, ...],
+    X: np.ndarray,
+    start: np.ndarray,
+    row: np.ndarray,
+    permuted: tuple[int, np.ndarray] | None = None,
+    first_split: np.ndarray | None = None,
+) -> np.ndarray:
+    """Class index of the leaf each query reaches, one tree level per step.
+
+    Query q starts at node start[q] and reads the codes of record row[q];
+    with permuted = (f, rows) it reads feature f from record rows[q]
+    instead. If given, first_split[f, q] is set to the first node on query
+    q's path that splits on feature f, where it is still negative. Queries
+    are routed _CHUNK_ROWS at a time.
+    """
+    feature, left, right, class_index, route_start, routing = flat
+    out = np.empty(len(start), dtype=np.intp)
+    for lo in range(0, len(start), _CHUNK_ROWS):
+        query = np.arange(lo, min(lo + _CHUNK_ROWS, len(start)))
+        node, r = start[query], row[query]
+        if permuted is not None:
+            pf, pr = permuted[0], permuted[1][query]
+        while len(query):
+            f = feature[node]
+            leaf = f < 0
+            if leaf.any():
+                out[query[leaf]] = class_index[node[leaf]]
+                inner = ~leaf
+                query, node, r, f = query[inner], node[inner], r[inner], f[inner]
+                if permuted is not None:
+                    pr = pr[inner]
+            if first_split is not None:
+                new = first_split[f, query] < 0
+                first_split[f[new], query[new]] = node[new]
+            code = X[f, r] if permuted is None else X[f, np.where(f == pf, pr, r)]
+            go_left = routing[route_start[node] + code]
+            node = np.where(go_left, left[node], right[node])
     return out
 
 
-def _check_match(forest: Forest, rs: RecordSet) -> None:
-    if rs.dictionary != forest.dictionary or len(rs) != forest.n_records:
-        raise ValidationError(
-            "record set does not match the forest's training data "
-            "(dictionary or record count differs)"
-        )
+def _check_match(forest: Forest, rs: RecordSet) -> np.ndarray:
+    """The forest's codes of rs (features, then response); raises unless rs
+    is the record set the forest was trained on."""
+    if rs.dictionary == forest.dictionary and len(rs) == forest.n_records:
+        codes = _encode_columns(rs, forest.features + (forest.response_variable,))
+        if _fingerprint(codes) == forest.fingerprint:
+            return codes
+    raise ValidationError(
+        "record set does not match the forest's training data "
+        "(dictionary, record count or records differ)"
+    )
 
 
 def oob_predict(forest: Forest, rs: RecordSet) -> OobPrediction:
@@ -377,21 +713,19 @@ def oob_predict(forest: Forest, rs: RecordSet) -> OobPrediction:
     the accuracy denominator. Vote ties break toward the class listed first
     in the dictionary.
     """
-    _check_match(forest, rs)
-    X = _encode_columns(rs, forest.features)
-    y = _encode_columns(rs, (forest.response_variable,))[:, 0]
+    codes = _check_match(forest, rs)
+    X, y = codes[:-1], codes[-1]
     n = forest.n_records
-    n_cats = np.array(
-        [len(forest.dictionary.variable(v).categories) for v in forest.features],
-        dtype=np.int64,
-    )
-    votes = np.zeros((n, len(forest.class_labels)), dtype=np.int64)
-    for tree in forest.trees:
-        oob = tree.oob_indices
-        if len(oob) == 0:
-            continue
-        preds = _tree_predict(tree, X[oob], n_cats)
-        np.add.at(votes, (oob, preds), 1)
+    n_classes = len(forest.class_labels)
+    votes = np.zeros(n * n_classes, dtype=np.int64)
+    for block in _tree_blocks(n, len(forest.trees), _CHUNK_ROWS):
+        trees = [forest.trees[t] for t in block]
+        roots, flat = _concat_trees(trees)
+        rows = np.concatenate([t.oob_indices for t in trees])
+        start = np.repeat(roots, [len(t.oob_indices) for t in trees])
+        preds = _predict(flat, X, start, rows)
+        votes += np.bincount(rows * n_classes + preds, minlength=n * n_classes)
+    votes = votes.reshape(n, n_classes)
     covered = votes.sum(axis=1) > 0
     winner = np.argmax(votes, axis=1)
     if covered.any():
@@ -415,36 +749,53 @@ def mda_importance(
     accuracy drop recorded; trees with no out-of-bag rows are skipped. The
     report is sorted by descending mda, ties by dictionary variable order.
     """
-    _check_match(forest, rs)
-    X = _encode_columns(rs, forest.features)
-    y = _encode_columns(rs, (forest.response_variable,))[:, 0]
+    codes = _check_match(forest, rs)
+    X, y = codes[:-1], codes[-1]
     n_features = len(forest.features)
-    n_cats = np.array(
-        [len(forest.dictionary.variable(v).categories) for v in forest.features],
-        dtype=np.int64,
-    )
 
-    def tree_drops(t: int) -> np.ndarray | None:
-        tree = forest.trees[t]
-        oob = tree.oob_indices
-        if len(oob) == 0:
-            return None
-        rng = np.random.default_rng([seed % 2**64, 1, t])
-        Xo = X[oob]
-        yo = y[oob]
-        base = float(np.mean(_tree_predict(tree, Xo, n_cats) == yo))
-        drops = np.zeros(n_features, dtype=np.float64)
-        Xp = Xo.copy()
+    def block_drops(block: range) -> list[np.ndarray]:
+        """The accuracy drop per feature of each tree in block with OOB rows.
+
+        Permuted rows are routed again only from the first node on their
+        unpermuted path that splits on the permuted feature.
+        """
+        members = [forest.trees[t] for t in block]
+        roots, flat = _concat_trees(members)
+        kept = [
+            (t, tree.oob_indices, root)
+            for t, tree, root in zip(block, members, roots.tolist())
+            if len(tree.oob_indices)
+        ]
+        if not kept:
+            return []
+        rngs = [np.random.default_rng([seed % 2**64, 1, t]) for t, _, _ in kept]
+        oobs = [oob for _, oob, _ in kept]
+        sizes = np.array([len(oob) for oob in oobs])
+        oob = np.concatenate(oobs)
+        owner = np.repeat(np.arange(len(kept)), sizes)
+        start = np.repeat([root for _, _, root in kept], sizes)
+        first_split = np.full((n_features, len(oob)), -1, dtype=np.intp)
+        base = _predict(flat, X, start, oob, first_split=first_split) == y[oob]
+        hits = np.empty((len(kept), n_features + 1), dtype=np.int64)
+        hits[:, 0] = np.bincount(owner[base], minlength=len(kept))
         for f in range(n_features):
-            perm = rng.permutation(len(oob))
-            Xp[:, f] = Xo[perm, f]
-            permuted = float(np.mean(_tree_predict(tree, Xp, n_cats) == yo))
-            Xp[:, f] = Xo[:, f]
-            drops[f] = base - permuted
-        return drops
+            # Draw every tree's f-th permutation, in feature order per stream.
+            permuted_rows = np.concatenate(
+                [o[rng.permutation(len(o))] for o, rng in zip(oobs, rngs)]
+            )
+            q = np.flatnonzero(first_split[f] >= 0)
+            pred = _predict(flat, X, first_split[f, q], oob[q], (f, permuted_rows[q]))
+            now = pred == y[oob[q]]
+            change = now.astype(np.int64) - base[q]
+            hits[:, f + 1] = hits[:, 0] + np.bincount(
+                owner[q], weights=change, minlength=len(kept)
+            ).astype(np.int64)
+        accuracy = hits / sizes[:, None]
+        return list(accuracy[:, :1] - accuracy[:, 1:])
 
-    per_tree = run_ordered(tree_drops, range(len(forest.trees)), threads=threads)
-    included = [d for d in per_tree if d is not None]
+    blocks = _tree_blocks(forest.n_records, len(forest.trees), _CHUNK_ROWS)
+    per_block = run_ordered(block_drops, blocks, threads=threads)
+    included = [drops for block in per_block for drops in block]
     if not included:
         raise ValidationError(
             "every record was in-bag for every tree; importance is undefined"

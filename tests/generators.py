@@ -12,10 +12,22 @@ correctly rounded double of the exact ratio".
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from rulekit.apriori import FrequentItemsets
+from rulekit.forest import (
+    Forest,
+    ForestConfig,
+    ImportanceEntry,
+    ImportanceReport,
+    OobPrediction,
+    TreeNode,
+    best_partition,
+)
 from rulekit.rules import MiningCase, Rule, score
 from rulekit.schema import DataDictionary, Record, RecordSet, VariableSchema
 from rulekit.transactions import TransactionSet
@@ -312,3 +324,195 @@ def oracle_best_partition(
         if dec > 0.0 and (best is None or dec > best[0]):
             best = (dec, frozenset(left_idx))
     return best
+
+
+# ---------------------------------------------------------------------------
+# Per-node forest references: tree growth, prediction and MDA one node, one
+# tree and one permutation at a time. The library grows trees in lockstep
+# over flat arrays; these are the definitions it must reproduce bit for bit.
+
+
+def reference_encode(rs: RecordSet, variables: Sequence[str]) -> np.ndarray:
+    """(n_records, n_variables) int64 category-index matrix."""
+    cols = []
+    for name in variables:
+        index = {c: i for i, c in enumerate(rs.dictionary.variable(name).categories)}
+        cols.append([index[r.values[name]] for r in rs.records])
+    return np.array(cols, dtype=np.int64).transpose().copy()
+
+
+def reference_grow_tree(
+    X: np.ndarray,
+    y: np.ndarray,
+    n_cats: np.ndarray,
+    n_classes: int,
+    mtry: int,
+    cfg: ForestConfig,
+    rng: np.random.Generator,
+) -> tuple[tuple[TreeNode, ...], np.ndarray]:
+    """One tree grown depth first, left child first; returns (nodes, bootstrap)."""
+    n = len(y)
+    n_features = X.shape[1]
+    boot = rng.integers(0, n, size=n)
+    nodes: list[TreeNode | None] = [None]
+    stack: list[tuple[int, np.ndarray, int]] = [(0, boot, 0)]
+    while stack:
+        nid, rows, depth = stack.pop()
+        counts = np.bincount(y[rows], minlength=n_classes)
+        class_index = int(np.argmax(counts))
+        pure = int((counts > 0).sum()) <= 1
+        capped = cfg.max_depth is not None and depth >= cfg.max_depth
+        too_small = len(rows) < 2 * cfg.min_node_size
+        split: tuple[float, int, frozenset[int]] | None = None
+        if not (pure or capped or too_small):
+            feats = np.sort(rng.choice(n_features, size=mtry, replace=False))
+            for f in feats:
+                f = int(f)
+                cont = np.bincount(
+                    X[rows, f] * n_classes + y[rows], minlength=n_cats[f] * n_classes
+                ).reshape(n_cats[f], n_classes)
+                found = best_partition(cont, cfg.min_node_size)
+                if found is not None and (split is None or found[0] > split[0]):
+                    split = (found[0], f, found[1])
+        if split is None:
+            nodes[nid] = TreeNode(
+                feature=-1,
+                left_categories=frozenset(),
+                left=-1,
+                right=-1,
+                class_index=class_index,
+                class_counts=tuple(int(c) for c in counts),
+            )
+            continue
+        _, f, left_cats = split
+        lut = np.zeros(n_cats[f], dtype=bool)
+        lut[list(left_cats)] = True
+        mask = lut[X[rows, f]]
+        left_id = len(nodes)
+        nodes.append(None)
+        right_id = len(nodes)
+        nodes.append(None)
+        nodes[nid] = TreeNode(
+            feature=f,
+            left_categories=left_cats,
+            left=left_id,
+            right=right_id,
+            class_index=class_index,
+            class_counts=tuple(int(c) for c in counts),
+        )
+        stack.append((right_id, rows[~mask], depth + 1))
+        stack.append((left_id, rows[mask], depth + 1))
+    assert all(node is not None for node in nodes)
+    return tuple(nodes), boot
+
+
+def reference_train(
+    rs: RecordSet, response: str, features: Sequence[str], cfg: ForestConfig
+) -> list[tuple[tuple[TreeNode, ...], np.ndarray]]:
+    """(nodes, in_bag) per tree, each tree on its own (seed, 0, index) stream."""
+    X = reference_encode(rs, features)
+    y = reference_encode(rs, (response,))[:, 0]
+    n_cats = np.array(
+        [len(rs.dictionary.variable(v).categories) for v in features], dtype=np.int64
+    )
+    n_classes = len(rs.dictionary.variable(response).categories)
+    mtry = cfg.mtry if cfg.mtry is not None else math.isqrt(len(features))
+    out = []
+    for i in range(cfg.n_trees):
+        rng = np.random.default_rng([cfg.seed % 2**64, 0, i])
+        nodes, boot = reference_grow_tree(X, y, n_cats, n_classes, mtry, cfg, rng)
+        out.append((nodes, np.bincount(boot, minlength=len(y))))
+    return out
+
+
+def reference_tree_predict(
+    nodes: Sequence[TreeNode], Xm: np.ndarray, n_cats: np.ndarray
+) -> np.ndarray:
+    """Class index per row of Xm, routing each node's rows in a Python loop."""
+    out = np.zeros(len(Xm), dtype=np.int64)
+    if len(Xm) == 0:
+        return out
+    stack: list[tuple[int, np.ndarray]] = [(0, np.arange(len(Xm)))]
+    while stack:
+        nid, rows = stack.pop()
+        node = nodes[nid]
+        if node.is_leaf:
+            out[rows] = node.class_index
+            continue
+        lut = np.zeros(n_cats[node.feature], dtype=bool)
+        lut[list(node.left_categories)] = True
+        mask = lut[Xm[rows, node.feature]]
+        left_rows = rows[mask]
+        right_rows = rows[~mask]
+        if len(left_rows):
+            stack.append((node.left, left_rows))
+        if len(right_rows):
+            stack.append((node.right, right_rows))
+    return out
+
+
+def _forest_arrays(forest: Forest, rs: RecordSet):
+    X = reference_encode(rs, forest.features)
+    y = reference_encode(rs, (forest.response_variable,))[:, 0]
+    n_cats = np.array(
+        [len(forest.dictionary.variable(v).categories) for v in forest.features],
+        dtype=np.int64,
+    )
+    return X, y, n_cats
+
+
+def reference_oob_predict(forest: Forest, rs: RecordSet) -> OobPrediction:
+    """Majority vote over the trees where each record was out-of-bag."""
+    X, y, n_cats = _forest_arrays(forest, rs)
+    votes = np.zeros((len(y), len(forest.class_labels)), dtype=np.int64)
+    for tree in forest.trees:
+        oob = tree.oob_indices
+        if len(oob) == 0:
+            continue
+        preds = reference_tree_predict(tree.nodes, X[oob], n_cats)
+        np.add.at(votes, (oob, preds), 1)
+    covered = votes.sum(axis=1) > 0
+    winner = np.argmax(votes, axis=1)
+    accuracy = float(np.mean(winner[covered] == y[covered])) if covered.any() else float("nan")
+    predictions = tuple(
+        forest.class_labels[int(w)] if c else None for w, c in zip(winner, covered)
+    )
+    return OobPrediction(predictions=predictions, accuracy=accuracy)
+
+
+def reference_mda(forest: Forest, rs: RecordSet, seed: int) -> ImportanceReport:
+    """Mean Decrease Accuracy, one tree and one permuted feature at a time."""
+    X, y, n_cats = _forest_arrays(forest, rs)
+    n_features = len(forest.features)
+    included = []
+    for t, tree in enumerate(forest.trees):
+        oob = tree.oob_indices
+        if len(oob) == 0:
+            continue
+        rng = np.random.default_rng([seed % 2**64, 1, t])
+        Xo = X[oob]
+        yo = y[oob]
+        base = float(np.mean(reference_tree_predict(tree.nodes, Xo, n_cats) == yo))
+        drops = np.zeros(n_features, dtype=np.float64)
+        Xp = Xo.copy()
+        for f in range(n_features):
+            perm = rng.permutation(len(oob))
+            Xp[:, f] = Xo[perm, f]
+            permuted = float(np.mean(reference_tree_predict(tree.nodes, Xp, n_cats) == yo))
+            Xp[:, f] = Xo[:, f]
+            drops[f] = base - permuted
+        included.append(drops)
+    matrix = np.vstack(included)
+    mda = matrix.mean(axis=0)
+    sd = matrix.std(axis=0)
+    order = sorted(
+        range(n_features),
+        key=lambda f: (-mda[f], forest.dictionary.variable_index(forest.features[f])),
+    )
+    entries = tuple(
+        ImportanceEntry(variable=forest.features[f], mda=float(mda[f]), sd=float(sd[f]))
+        for f in order
+    )
+    return ImportanceReport(
+        entries=entries, oob_accuracy=reference_oob_predict(forest, rs).accuracy
+    )

@@ -96,6 +96,21 @@ class TestDescribe:
         assert (out / "crosstab_severity.csv").exists()
         assert not (out / "crosstab_road.csv").exists()
 
+    @pytest.mark.parametrize("crosstab_rows", [None, ["severity"], []])
+    def test_value_counts_cover_every_variable(self, tmp_path, crosstab_rows):
+        config = dict(BASE_CONFIG)
+        if crosstab_rows is not None:
+            config["crosstab_rows"] = crosstab_rows
+        rows = _rows(37)
+        cfg = write_workspace(tmp_path, config, rows)
+        assert main(["describe", "--config", str(cfg)]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        want = {
+            v["name"]: {c: sum(r[v["name"]] == c for r in rows) for c in v["categories"]}
+            for v in DICTIONARY["variables"]
+        }
+        assert summary["value_counts"] == want
+
     def test_marginals_survive_a_large_ingest(self, tmp_path):
         dictionary = {
             "version": "t",

@@ -1,16 +1,25 @@
 """Forest training, out-of-bag prediction, and permutation importance."""
 
+import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rulekit.forest as forest_module
 from generators import (
     make_dictionary,
     make_records,
     oracle_best_partition,
     planted_mda_records,
+    reference_mda,
+    reference_oob_predict,
+    reference_train,
 )
+from rulekit.cli import load_config
 from rulekit.errors import ValidationError
 from rulekit.forest import (
     ForestConfig,
@@ -22,6 +31,7 @@ from rulekit.forest import (
     select_top_k,
     train,
 )
+from rulekit.schema import filter_records, ingest, load_dictionary
 
 
 class TestForestConfig:
@@ -209,6 +219,17 @@ class TestOobPredict:
         with pytest.raises(ValidationError, match="does not match"):
             oob_predict(f, shorter)
 
+    def test_same_size_record_set_with_one_changed_value(self, separable_rs):
+        f = train(separable_rs, "label", ["flag"], ForestConfig(n_trees=4, seed=0))
+        rows = [dict(r.values) for r in separable_rs.records]
+        rows[3]["label"] = "no" if rows[3]["label"] == "yes" else "yes"
+        changed = make_records(separable_rs.dictionary, rows)
+        assert len(changed) == len(separable_rs)
+        with pytest.raises(ValidationError, match="does not match"):
+            oob_predict(f, changed)
+        with pytest.raises(ValidationError, match="does not match"):
+            mda_importance(f, changed, seed=0)
+
     def test_high_coverage_with_many_trees(self):
         rng = random.Random(41)
         d = make_dictionary(
@@ -316,3 +337,109 @@ def test_importance_exports(tmp_path):
     assert doc["entries"][0]["variable"] == predictor
     assert doc["entries"][0]["rank"] == 1
     assert doc["oob_accuracy"] == report.oob_accuracy
+
+
+def _report_bits(report):
+    """A report as exact float bit patterns, so -0.0 and 0.0 differ."""
+    return (
+        [(e.variable, e.mda.hex(), e.sd.hex()) for e in report.entries],
+        report.oob_accuracy.hex(),
+    )
+
+
+def _assert_matches_reference(rs, response, features, cfg, forest):
+    reference = reference_train(rs, response, features, cfg)
+    assert len(forest.trees) == len(reference)
+    for tree, (nodes, in_bag) in zip(forest.trees, reference):
+        assert tree.nodes == nodes
+        assert np.array_equal(tree.in_bag, in_bag)
+        assert np.array_equal(tree.oob_indices, np.flatnonzero(in_bag == 0))
+    got, want = oob_predict(forest, rs), reference_oob_predict(forest, rs)
+    assert got.predictions == want.predictions
+    assert got.accuracy == want.accuracy or (
+        math.isnan(got.accuracy) and math.isnan(want.accuracy)
+    )
+    if any(len(tree.oob_indices) for tree in forest.trees):
+        seed = cfg.seed + 1
+        assert _report_bits(mda_importance(forest, rs, seed)) == _report_bits(
+            reference_mda(forest, rs, seed)
+        )
+
+
+@st.composite
+def forest_fixtures(draw):
+    """Small record sets and configs; one feature may have 13-15 categories,
+    so nodes with more than 12 present ones take the greedy search."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n_features = draw(st.integers(1, 4))
+    wide = draw(st.booleans())
+    spec = {
+        f"f{i}": tuple(f"c{j}" for j in range(rng.randint(13, 15) if wide and i == 0
+                                              else rng.randint(2, 5)))
+        for i in range(n_features)
+    }
+    n_classes = rng.randint(2, 3)
+    spec["resp"] = tuple(f"r{k}" for k in range(n_classes))
+    rows = []
+    for r in range(draw(st.integers(4, 60))):
+        row = {name: rng.choice(cats) for name, cats in spec.items() if name != "resp"}
+        # the response leans on f0, so trees grow past the root
+        signal = spec["f0"].index(row["f0"]) % n_classes
+        row["resp"] = spec["resp"][signal if rng.random() < 0.7 else rng.randrange(n_classes)]
+        rows.append(row)
+    rows[0]["resp"], rows[1]["resp"] = "r0", "r1"
+    cfg = ForestConfig(
+        n_trees=draw(st.integers(1, 4)),
+        mtry=draw(st.integers(1, n_features)),
+        min_node_size=draw(st.integers(1, 3)),
+        max_depth=draw(st.none() | st.integers(1, 4)),
+        seed=draw(st.integers(0, 1000)),
+    )
+    return make_records(make_dictionary(spec), rows), [f"f{i}" for i in range(n_features)], cfg
+
+
+class TestFlatForestMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @given(forest_fixtures())
+    def test_random_data(self, fixture):
+        rs, features, cfg = fixture
+        _assert_matches_reference(rs, "resp", features, cfg, train(rs, "resp", features, cfg))
+
+    def test_sample_data(self):
+        cfg = load_config(Path(__file__).resolve().parent.parent / "sample" / "config.json")
+        rs = ingest(
+            cfg.data_path, load_dictionary(cfg.dictionary_path),
+            cfg.unknown_policy, cfg.record_id_column,
+        )
+        rs = filter_records(rs, cfg.filter_steps)
+        features = [v for v in rs.dictionary.names if v != cfg.response]
+        fcfg = ForestConfig(n_trees=20, min_node_size=cfg.forest.min_node_size, seed=7)
+        forest = train(rs, cfg.response, features, fcfg)
+        _assert_matches_reference(rs, cfg.response, features, fcfg, forest)
+
+    def test_block_and_chunk_sizes_do_not_change_results(self, monkeypatch):
+        rs, predictor, noise = planted_mda_records(n=120)
+        features = [predictor] + noise
+        cfg = ForestConfig(n_trees=6, min_node_size=2, seed=3)
+        one_block = train(rs, "resp", features, cfg)
+        report = mda_importance(one_block, rs, seed=4)
+        assert len(forest_module._tree_blocks(len(rs), 6, forest_module._BLOCK_ROWS)) == 1
+        # one tree per block, a few nodes per gather and 7 queries per pass
+        monkeypatch.setattr(forest_module, "_BLOCK_ROWS", len(rs))
+        monkeypatch.setattr(forest_module, "_CHUNK_ROWS", 7)
+        assert len(forest_module._tree_blocks(len(rs), 6, forest_module._BLOCK_ROWS)) == 6
+        per_tree = train(rs, "resp", features, cfg)
+        for a, b in zip(one_block.trees, per_tree.trees):
+            assert a.nodes == b.nodes
+            assert np.array_equal(a.in_bag, b.in_bag)
+        assert _report_bits(mda_importance(per_tree, rs, seed=4)) == _report_bits(report)
+        assert oob_predict(per_tree, rs) == oob_predict(one_block, rs)
+
+
+def test_tree_arrays_are_read_only(separable_rs):
+    tree = train(separable_rs, "label", ["flag"], ForestConfig(n_trees=1, seed=0)).trees[0]
+    for name in ("feature", "left", "right", "class_index", "class_counts",
+                 "route_start", "routing", "in_bag", "oob_indices"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(tree, name)[...] = 0
+    assert isinstance(tree.nodes, tuple)
