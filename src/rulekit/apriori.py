@@ -5,8 +5,8 @@ a (k-2)-prefix, skipping joins that would put two categories of the same
 variable into one itemset (their support is structurally zero), then pruning
 any candidate with an infrequent (k-1)-subset. A candidate's support is the
 popcount of the AND of its items' bitmaps in the item-major transaction
-set, and counting may be spread over worker threads; output is independent
-of transaction order and thread count.
+set. Output is independent of transaction order; the ``threads`` argument
+is accepted and has no effect.
 """
 
 from __future__ import annotations

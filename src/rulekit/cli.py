@@ -1,12 +1,12 @@
 """Command-line front end: describe, select-vars, mine, and pipeline.
 
 A single JSON run configuration drives everything; flags only pick the
-command, the config, and cheap overrides (output directory, seed, threads).
+command, the config, and cheap overrides (output directory, seed).
 Exit codes: 0 on success, 2 for configuration or validation problems, 1 for
 runtime and I/O failures. Error messages on stderr name the failing stage.
 
-Thread count never changes results, only wall time; it comes from
-``--threads`` or the RULEKIT_THREADS environment variable, defaulting to 1.
+``--threads`` (or RULEKIT_THREADS) is still parsed and checked, a value
+below 1 exiting 2, but has no effect: every stage runs on one thread.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .apriori import SupportSpec
 from .errors import RulekitError, ValidationError
@@ -327,13 +329,12 @@ def _describe(cfg: RunConfig, rs: RecordSet, bundle: ReportBundle, out: Path) ->
         else:
             row_vars = tuple(v for v in rs.dictionary.names if v != cfg.response)
         tables = {var: cross_tabulate(rs, var, cfg.response) for var in row_vars}
-        # A variable's value counts are the row sums of its table; a variable
-        # with none (the response, or one left out of crosstab_rows) is
-        # tabulated against itself.
-        value_counts = {}
-        for var in rs.dictionary.names:
-            ct = tables[var] if var in tables else cross_tabulate(rs, var, var)
-            value_counts[var] = dict(zip(ct.row_categories, map(sum, ct.cells)))
+        value_counts = {
+            var.name: dict(
+                zip(var.categories, np.bincount(codes, minlength=len(var.categories)).tolist())
+            )
+            for var, codes in zip(rs.dictionary.variables, rs.codes)
+        }
         write_json(
             out / "summary.json",
             {
@@ -535,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help="worker threads (default: RULEKIT_THREADS or 1); never changes results",
+            help="accepted for compatibility (default: RULEKIT_THREADS or 1); has no effect",
         )
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("-v", "--verbose", action="store_true", help="debug logging")

@@ -17,8 +17,8 @@ next depth-first node of every tree in the block that can still split,
 counts the (category, class) tables of all their candidate features with
 bincount, scores every category partition of every table at once and
 splits. Blocks hold up to _BLOCK_ROWS bootstrap rows, so the block
-partition depends only on the record and tree counts; blocks are the work
-items of the thread pool.
+partition depends only on the record and tree counts. Blocks run one after
+another; the ``threads`` arguments are accepted and have no effect.
 
 Determinism. Each tree draws from its own RNG stream keyed by (seed,
 purpose, tree index). Lockstep growth still visits each tree's nodes in the
@@ -26,8 +26,7 @@ depth-first, left-child-first order of a one-node-at-a-time grower, so every
 tree makes the same draws in the same order and numbers its nodes the same
 way. The Gini scores come from the same float operations on the same exact
 integer counts, so ties break the same way too: the first feature, then the
-first partition wins. A forest thus depends on neither the block size nor
-the thread count.
+first partition wins. A forest thus does not depend on the block size.
 
 Importance is Mean Decrease Accuracy: for every tree, the accuracy on its
 out-of-bag records is compared with the accuracy after permuting one
@@ -49,7 +48,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import compress
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple, Sequence
 
@@ -257,25 +255,6 @@ def best_partition(
     return best_overall
 
 
-def _encode_columns(rs: RecordSet, variables: Sequence[str]) -> np.ndarray:
-    """Read-only category codes, one contiguous row per variable.
-
-    The shape is (len(variables), len(rs)) and the dtype the smallest
-    unsigned integer that holds every code (uint8 up to 256 categories).
-    """
-    categories = [rs.dictionary.variable(name).categories for name in variables]
-    dtype = np.min_scalar_type(max(len(cats) for cats in categories) - 1)
-    values = [r.values for r in rs.records]
-    codes = np.empty((len(variables), len(rs)), dtype=dtype)
-    for row, name, cats in zip(codes, variables, categories):
-        index = {c: i for i, c in enumerate(cats)}
-        row[:] = np.fromiter(
-            map(index.__getitem__, map(itemgetter(name), values)), dtype=dtype, count=len(rs)
-        )
-    codes.setflags(write=False)
-    return codes
-
-
 def _fingerprint(codes: np.ndarray) -> str:
     return hashlib.sha256(codes.tobytes()).hexdigest()
 
@@ -387,8 +366,7 @@ def _node_rows(
 def _gc_paused() -> Iterator[None]:
     """Pause the garbage collector: tens of thousands of new acyclic node
     tuples would otherwise set off full collections over every live object,
-    which cost more than building the nodes. Process-wide, so only for use
-    on the calling thread while no worker runs."""
+    which cost more than building the nodes."""
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -597,7 +575,7 @@ def train(
         raise ValidationError(f"response {response!r} cannot also be a feature")
     if len(rs) < 2:
         raise ValidationError("training needs at least 2 records")
-    codes = _encode_columns(rs, features + (response,))
+    codes = rs.codes[[rs.dictionary.variable_index(v) for v in features + (response,)]]
     X, y = codes[:-1], codes[-1]
     class_labels = rs.dictionary.variable(response).categories
     if len(np.unique(y)) < 2:
@@ -697,7 +675,8 @@ def _check_match(forest: Forest, rs: RecordSet) -> np.ndarray:
     """The forest's codes of rs (features, then response); raises unless rs
     is the record set the forest was trained on."""
     if rs.dictionary == forest.dictionary and len(rs) == forest.n_records:
-        codes = _encode_columns(rs, forest.features + (forest.response_variable,))
+        variables = forest.features + (forest.response_variable,)
+        codes = rs.codes[[rs.dictionary.variable_index(v) for v in variables]]
         if _fingerprint(codes) == forest.fingerprint:
             return codes
     raise ValidationError(

@@ -4,7 +4,9 @@ The dictionary declares every categorical variable with its ordered category
 list (coded scales such as lighting conditions or injury severity live here).
 Records are validated against it at ingest time: each record carries exactly
 one category per variable, and "unknown" is an ordinary category that is
-never dropped silently. All types are immutable after construction.
+never dropped silently. All types are immutable after construction. A
+RecordSet encodes its records once, into the category-code matrix that every
+later stage reads; nothing else maps categories to codes.
 """
 
 from __future__ import annotations
@@ -14,8 +16,12 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DictionaryError, IngestError, ValidationError
 
@@ -176,11 +182,18 @@ class FilterLogEntry:
 
 @dataclass(frozen=True)
 class RecordSet:
-    """Validated records plus the provenance of any filters applied to them."""
+    """Validated records plus the provenance of any filters applied to them.
+
+    ``codes`` (derived, read-only, shape (n_variables, n_records)) holds in
+    row j each record's category index in the j-th dictionary variable, in
+    the smallest unsigned dtype that fits the widest variable (uint8 up to
+    256 categories).
+    """
 
     dictionary: DataDictionary
     records: tuple[Record, ...]
     filter_log: tuple[FilterLogEntry, ...] = ()
+    codes: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         names = set(self.dictionary.names)
@@ -189,18 +202,30 @@ class RecordSet:
             if rec.record_id in seen_ids:
                 raise ValidationError(f"duplicate record_id {rec.record_id!r}")
             seen_ids.add(rec.record_id)
-            if set(rec.values.keys()) != names:
-                missing = names - set(rec.values.keys())
-                extra = set(rec.values.keys()) - names
+            if rec.values.keys() != names:
                 raise ValidationError(
-                    f"record {rec.record_id!r} does not assign exactly one category "
-                    f"per variable (missing={sorted(missing)}, extra={sorted(extra)})"
+                    f"record {rec.record_id!r} does not assign exactly one category per variable "
+                    f"(missing={sorted(names - rec.values.keys())}, "
+                    f"extra={sorted(rec.values.keys() - names)})"
                 )
-            for var, cat in rec.values.items():
-                if cat not in self.dictionary.variable(var).categories:
-                    raise ValidationError(
-                        f"record {rec.record_id!r}: {cat!r} is not a category of {var!r}"
-                    )
+        variables = self.dictionary.variables
+        width = max((len(var.categories) for var in variables), default=1)
+        codes = np.empty((len(variables), len(self.records)), dtype=np.min_scalar_type(width - 1))
+        values = [rec.values for rec in self.records]
+        for row, var in zip(codes, variables):
+            index = {cat: code for code, cat in enumerate(var.categories)}
+            try:
+                row[:] = np.fromiter(
+                    map(index.__getitem__, map(itemgetter(var.name), values)), codes.dtype
+                )
+            except KeyError:
+                rec = next(r for r in self.records if r.values[var.name] not in index)
+                raise ValidationError(
+                    f"record {rec.record_id!r}: {rec.values[var.name]!r} is not a category "
+                    f"of {var.name!r}"
+                ) from None
+        codes.setflags(write=False)
+        object.__setattr__(self, "codes", codes)
         prev_after = None
         for entry in self.filter_log:
             if entry.records_after > entry.records_before:
@@ -339,9 +364,10 @@ def load_filter_steps(source: str | Path | Sequence) -> tuple[FilterStep, ...]:
     for entry in doc:
         if not isinstance(entry, Mapping) or "variable" not in entry or "keep" not in entry:
             raise ValidationError(f"filter step {entry!r} must have 'variable' and 'keep'")
-        steps.append(
-            FilterStep(variable=str(entry["variable"]), keep=frozenset(str(c) for c in entry["keep"]))
-        )
+        keep = entry["keep"]
+        if not isinstance(keep, (list, tuple)) or not all(isinstance(c, str) for c in keep):
+            raise ValidationError(f"filter step {entry!r}: 'keep' must be an array of strings")
+        steps.append(FilterStep(variable=str(entry["variable"]), keep=frozenset(keep)))
     return tuple(steps)
 
 
@@ -351,20 +377,22 @@ def filter_records(rs: RecordSet, steps: Sequence[FilterStep]) -> RecordSet:
     Each step appends one entry to the filter log with its before/after
     counts. The input RecordSet is never modified.
     """
-    for step in steps:
-        var = rs.dictionary.variable(step.variable)
-        for cat in step.keep:
-            if cat not in var.categories:
-                raise ValidationError(
-                    f"filter step on {step.variable!r} names unknown category {cat!r}"
-                )
-    records = list(rs.records)
+    keep = np.ones(len(rs), dtype=bool)
     log = list(rs.filter_log)
     for step in steps:
-        before = len(records)
-        records = [r for r in records if r.values[step.variable] in step.keep]
-        log.append(FilterLogEntry(step.describe(), before, len(records)))
-    return RecordSet(dictionary=rs.dictionary, records=tuple(records), filter_log=tuple(log))
+        cats = rs.dictionary.variable(step.variable).categories
+        unknown = sorted(step.keep.difference(cats))
+        if unknown:
+            raise ValidationError(
+                f"filter step on {step.variable!r} names unknown category {unknown[0]!r}"
+            )
+        before = int(keep.sum())
+        row = rs.codes[rs.dictionary.variable_index(step.variable)]
+        keep &= np.isin(row, [cats.index(cat) for cat in step.keep])
+        log.append(FilterLogEntry(step.describe(), before, int(keep.sum())))
+    return RecordSet(
+        dictionary=rs.dictionary, records=tuple(compress(rs.records, keep)), filter_log=tuple(log)
+    )
 
 
 @dataclass(frozen=True)
@@ -406,19 +434,19 @@ class CrossTab:
 
 def cross_tabulate(rs: RecordSet, row_var: str, col_var: str) -> CrossTab:
     """Count records for every (row category, column category) pair."""
-    row_cats = rs.dictionary.variable(row_var).categories
-    col_cats = rs.dictionary.variable(col_var).categories
-    row_idx = {c: i for i, c in enumerate(row_cats)}
-    col_idx = {c: i for i, c in enumerate(col_cats)}
-    cells = [[0] * len(col_cats) for _ in row_cats]
-    for rec in rs.records:
-        cells[row_idx[rec.values[row_var]]][col_idx[rec.values[col_var]]] += 1
-    totals = tuple(sum(row[j] for row in cells) for j in range(len(col_cats)))
+    dictionary = rs.dictionary
+    row_cats = dictionary.variable(row_var).categories
+    col_cats = dictionary.variable(col_var).categories
+    row = rs.codes[dictionary.variable_index(row_var)].astype(np.intp)
+    col = rs.codes[dictionary.variable_index(col_var)]
+    cells = np.bincount(
+        row * len(col_cats) + col, minlength=len(row_cats) * len(col_cats)
+    ).reshape(len(row_cats), len(col_cats))
     return CrossTab(
         row_variable=row_var,
         col_variable=col_var,
         row_categories=row_cats,
         col_categories=col_cats,
-        cells=tuple(tuple(row) for row in cells),
-        column_totals=totals,
+        cells=tuple(map(tuple, cells.tolist())),
+        column_totals=tuple(cells.sum(axis=0).tolist()),
     )

@@ -103,20 +103,10 @@ def encode(rs: RecordSet, selected_vars: Sequence[str], full_universe: bool = Fa
         raise ValidationError("empty selection: at least one variable is required")
     if not rs.records:
         raise ValidationError("cannot encode an empty RecordSet")
-    selected = set(selected_vars)
-    for var in selected_vars:
-        rs.dictionary.variable(var)
-
-    n = len(rs.records)
     items: list[Item] = []
     membership: list[np.ndarray] = []
-    for var_schema in rs.dictionary.variables:
-        if var_schema.name not in selected:
-            continue
-        index = {cat: code for code, cat in enumerate(var_schema.categories)}
-        codes = np.fromiter(
-            (index[rec.values[var_schema.name]] for rec in rs.records), dtype=np.intp, count=n
-        )
+    for j in sorted({rs.dictionary.variable_index(var) for var in selected_vars}):
+        var_schema, codes = rs.dictionary.variables[j], rs.codes[j]
         kept = np.arange(len(var_schema.categories)) if full_universe else np.unique(codes)
         items.extend((var_schema.name, var_schema.categories[code]) for code in kept)
         membership.append(codes == kept[:, None])
@@ -124,7 +114,7 @@ def encode(rs: RecordSet, selected_vars: Sequence[str], full_universe: bool = Fa
     packed = np.packbits(np.concatenate(membership), axis=1, bitorder="little")
     bitmaps = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
     bitmaps.setflags(write=False)
-    return TransactionSet(universe=universe, bitmaps=bitmaps, n_transactions=n)
+    return TransactionSet(universe=universe, bitmaps=bitmaps, n_transactions=len(rs))
 
 
 def support_count(ts: TransactionSet, itemset: Iterable[int]) -> int:

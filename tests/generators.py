@@ -29,7 +29,7 @@ from rulekit.forest import (
     best_partition,
 )
 from rulekit.rules import MiningCase, Rule, score
-from rulekit.schema import DataDictionary, Record, RecordSet, VariableSchema
+from rulekit.schema import CrossTab, DataDictionary, Record, RecordSet, VariableSchema
 from rulekit.transactions import TransactionSet
 
 Item = tuple[str, str]
@@ -339,6 +339,25 @@ def reference_encode(rs: RecordSet, variables: Sequence[str]) -> np.ndarray:
         index = {c: i for i, c in enumerate(rs.dictionary.variable(name).categories)}
         cols.append([index[r.values[name]] for r in rs.records])
     return np.array(cols, dtype=np.int64).transpose().copy()
+
+
+def reference_cross_tabulate(rs: RecordSet, row_var: str, col_var: str) -> CrossTab:
+    """Cross-tabulation by one pass over the record dicts."""
+    row_cats = rs.dictionary.variable(row_var).categories
+    col_cats = rs.dictionary.variable(col_var).categories
+    row_idx = {c: i for i, c in enumerate(row_cats)}
+    col_idx = {c: i for i, c in enumerate(col_cats)}
+    cells = [[0] * len(col_cats) for _ in row_cats]
+    for rec in rs.records:
+        cells[row_idx[rec.values[row_var]]][col_idx[rec.values[col_var]]] += 1
+    return CrossTab(
+        row_variable=row_var,
+        col_variable=col_var,
+        row_categories=row_cats,
+        col_categories=col_cats,
+        cells=tuple(tuple(row) for row in cells),
+        column_totals=tuple(sum(row[j] for row in cells) for j in range(len(col_cats))),
+    )
 
 
 def reference_grow_tree(

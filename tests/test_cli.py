@@ -178,6 +178,14 @@ class TestConfigErrors:
             (lambda c: c.update({"unknown_policy": "ignore"}), "unknown_policy"),
             (lambda c: c.update({"top_k_features": 0}), "top_k_features"),
             (
+                lambda c: c.update({"filter_steps": [{"variable": "road", "keep": "dry"}]}),
+                "'keep' must be an array of strings",
+            ),
+            (
+                lambda c: c.update({"filter_steps": [{"variable": "road", "keep": 5}]}),
+                "'keep' must be an array of strings",
+            ),
+            (
                 lambda c: c.update({"cases": [c["cases"][0], dict(c["cases"][0])]}),
                 "distinct",
             ),

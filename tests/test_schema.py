@@ -2,12 +2,20 @@
 
 import io
 import json
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from generators import make_dictionary, make_records, random_record_set
+from generators import (
+    make_dictionary,
+    make_records,
+    random_record_set,
+    reference_cross_tabulate,
+    reference_encode,
+)
 from rulekit.errors import DictionaryError, IngestError, ValidationError
 from rulekit.schema import (
     DataDictionary,
@@ -276,6 +284,11 @@ class TestFilter:
         with pytest.raises(ValidationError, match="gravel"):
             filter_records(rs, (FilterStep("road", frozenset({"gravel"})),))
 
+    @pytest.mark.parametrize("keep", ["dark", 5, ["dark", 5], None])
+    def test_keep_must_be_an_array_of_strings(self, keep):
+        with pytest.raises(ValidationError, match="'keep' must be an array of strings"):
+            load_filter_steps([{"variable": "lighting", "keep": keep}])
+
     def test_filter_to_empty_is_allowed(self, weather_dict):
         rs = make_records(weather_dict, [{"weather": "clear", "road": "dry"}])
         out = filter_records(rs, (FilterStep("road", frozenset({"wet"})),))
@@ -325,3 +338,61 @@ class TestCrossTab:
         rs = make_records(weather_dict, [{"weather": "clear", "road": "dry"}])
         ct = cross_tabulate(rs, "weather", "weather")
         assert ct.cell("clear", "clear") == 1
+
+
+class TestCodes:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_codes_match_reference_and_feed_filter_and_crosstab(self, seed):
+        rng = random.Random(seed)
+        rs = random_record_set(rng)
+        names = rs.dictionary.names
+        assert np.array_equal(rs.codes, reference_encode(rs, names).T)
+        assert rs.codes.dtype == np.uint8
+        assert not rs.codes.flags.writeable
+        with pytest.raises(ValueError):
+            rs.codes[0, 0] = 1
+
+        var = rng.choice(names)
+        cats = rs.dictionary.variable(var).categories
+        keep = frozenset(rng.sample(cats, rng.randint(0, len(cats))))
+        out = filter_records(rs, (FilterStep(var, keep),))
+        kept = [i for i, rec in enumerate(rs.records) if rec.values[var] in keep]
+        assert out.codes.shape == (len(names), len(kept))
+        assert np.array_equal(out.codes, rs.codes[:, kept])
+
+        row_var, col_var = rng.choice(names), rng.choice(names)
+        assert cross_tabulate(rs, row_var, col_var) == reference_cross_tabulate(
+            rs, row_var, col_var
+        )
+        assert cross_tabulate(out, row_var, col_var) == reference_cross_tabulate(
+            out, row_var, col_var
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_undeclared_category_is_named(self, seed):
+        rng = random.Random(seed)
+        rs = random_record_set(rng)
+        victim = rng.randrange(len(rs))
+        var = rng.choice(rs.dictionary.names)
+        records = list(rs.records)
+        bad = records[victim]
+        records[victim] = Record(bad.record_id, {**bad.values, var: "undeclared"})
+        with pytest.raises(ValidationError) as info:
+            RecordSet(dictionary=rs.dictionary, records=tuple(records))
+        message = str(info.value)
+        assert repr(bad.record_id) in message
+        assert "'undeclared'" in message
+        assert repr(var) in message
+
+    def test_dtype_widens_with_the_widest_variable(self):
+        wide = [f"c{i}" for i in range(300)]
+        d = make_dictionary({"narrow": ["a", "b"], "wide": wide})
+        rs = make_records(d, [{"narrow": "b", "wide": "c299"}, {"narrow": "a", "wide": "c0"}])
+        assert rs.codes.dtype == np.uint16
+        assert rs.codes.tolist() == [[1, 0], [299, 0]]
+
+    def test_codes_take_no_part_in_equality(self, weather_dict):
+        rows = [{"weather": "clear", "road": "dry"}]
+        assert make_records(weather_dict, rows) == make_records(weather_dict, rows)
