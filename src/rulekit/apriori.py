@@ -1,12 +1,16 @@
 """Level-wise Apriori mining of frequent itemsets.
 
-Candidates of size k are built by joining frequent (k-1)-itemsets that share
-a (k-2)-prefix, skipping joins that would put two categories of the same
-variable into one itemset (their support is structurally zero), then pruning
-any candidate with an infrequent (k-1)-subset. A candidate's support is the
-popcount of the AND of its items' bitmaps in the item-major transaction
-set. Output is independent of transaction order; the ``threads`` argument
-is accepted and has no effect.
+Each level is one sorted ``(m, k)`` array of item ids, and every step works
+on whole arrays. Candidates of size k + 1 join the pairs of rows that share
+their first k - 1 items, skipping pairs whose two last items belong to the
+same variable (their support is structurally zero). A candidate survives
+the prune only if each of its k-subsets is a row of the level, found by
+binary search over byte keys whose order is the rows' lexicographic order.
+A candidate's support is the popcount of the AND of its items' bitmaps in
+the item-major transaction set. A level is extended a chunk of rows at a
+time (join, prune and count together), so the buffers stay bounded however
+many candidates a level has. Output is independent of transaction order and
+of the chunk size; the ``threads`` argument is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -15,18 +19,27 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import partial
 from pathlib import Path
 from typing import Iterator, Mapping
+
+import numpy as np
 
 from .errors import ValidationError
 from .io_utils import write_csv
 from .parallel import run_ordered
-from .transactions import TransactionSet, support_count
+# support_count is not called here, but perfbench/tracer.py patches it (and
+# run_ordered) by name in this module.
+from .transactions import TransactionSet, support_count  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
 Itemset = tuple[int, ...]
+
+# 64-bit words of candidate bitmaps ANDed at once (1 MiB): a level is
+# extended a chunk of about _CHUNK_WORDS / n_words joined pairs at a time, so
+# the join, prune and count buffers stay bounded whatever the level size.
+_CHUNK_WORDS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -99,15 +112,19 @@ class FrequentItemsets:
     n_transactions: int
 
     def __post_init__(self) -> None:
-        counts = {}
-        for level in self.by_level.values():
-            for itemset, count in level:
-                counts[itemset] = count
-        object.__setattr__(self, "_counts", counts)
+        entries = {entry[0]: entry for level in self.by_level.values() for entry in level}
+        object.__setattr__(self, "_entries", entries)
+
+    def entry(self, itemset: Itemset) -> tuple[Itemset, int] | None:
+        """The stored (itemset, support_count) pair, or None if the itemset is
+        not frequent. Its itemset is the sorted tuple that ``by_level`` holds,
+        so callers can keep a reference instead of a copy."""
+        return self._entries.get(tuple(sorted(itemset)))  # type: ignore[attr-defined]
 
     def support(self, itemset: Itemset) -> int | None:
         """Stored support count of an itemset, or None if it is not frequent."""
-        return self._counts.get(tuple(sorted(itemset)))  # type: ignore[attr-defined]
+        entry = self.entry(itemset)
+        return None if entry is None else entry[1]
 
     def __iter__(self) -> Iterator[tuple[Itemset, int]]:
         for k in sorted(self.by_level):
@@ -117,27 +134,88 @@ class FrequentItemsets:
         return sum(len(level) for level in self.by_level.values())
 
 
-def _join_candidates(prev_level: list[Itemset], variable_of) -> list[Itemset]:
-    """Classic join of lexicographically sorted (k-1)-itemsets.
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One byte-string key per row, ordered as the rows are lexicographically.
 
-    Two itemsets sharing their first k-2 items join into a k-candidate; the
-    two new last items must come from different variables (the shared prefix
-    is already same-variable-free).
+    Items are written big-endian, so comparing keys byte by byte compares
+    the rows item by item; unlike a mixed-radix integer, a key cannot
+    overflow at any universe size or itemset length.
     """
-    candidates = []
-    prev_set = set(prev_level)
-    for i, a in enumerate(prev_level):
-        for b in prev_level[i + 1 :]:
-            if a[:-1] != b[:-1]:
-                break
-            if variable_of(a[-1]) == variable_of(b[-1]):
-                continue
-            candidate = a + (b[-1],)
-            if all(
-                subset in prev_set for subset in combinations(candidate, len(candidate) - 1)
-            ):
-                candidates.append(candidate)
-    return candidates
+    big_endian = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
+    width = big_endian.itemsize * big_endian.shape[1]
+    return big_endian.view(np.dtype((np.void, width)))[:, 0]
+
+
+def _candidates(
+    level: np.ndarray, keys: np.ndarray, partners: np.ndarray, variable: np.ndarray, rows: range
+) -> np.ndarray:
+    """The (k + 1)-candidates that the given rows of a sorted level of
+    frequent k-itemsets head.
+
+    Row i joins each later row j of its prefix group (the ``partners[i]``
+    rows after it that share its first k - 1 items) into level[i] plus
+    level[j]'s last item, which must belong to another variable (the shared
+    prefix is already same-variable-free). Pairs come out ordered by (i, j),
+    which is the candidates' lexicographic order. A candidate is kept only
+    if every k-subset is a row of the level; the two subsets that drop one
+    of the last two items are level[j] and level[i] themselves.
+    """
+    m, k = level.shape
+    counts = partners[rows.start : rows.stop]
+    left = np.repeat(np.arange(rows.start, rows.stop), counts)
+    right = left + 1 + np.arange(len(left)) - np.repeat(np.cumsum(counts) - counts, counts)
+    differ = variable[level[left, -1]] != variable[level[right, -1]]
+    left, right = left[differ], right[differ]
+    candidates = np.concatenate((level[left], level[right, -1:]), axis=1)
+    keep = np.ones(len(candidates), dtype=bool)
+    for drop in range(k - 1):
+        subsets = np.delete(candidates, drop, axis=1)
+        at = np.minimum(np.searchsorted(keys, _row_keys(subsets)), m - 1)
+        keep &= (level[at] == subsets).all(axis=1)
+    return candidates[keep]
+
+
+def _extend(
+    level: np.ndarray,
+    keys: np.ndarray,
+    partners: np.ndarray,
+    variable: np.ndarray,
+    bitmaps: np.ndarray,
+    threshold: int,
+    rows: range,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The frequent candidates the rows head, with their support counts: the
+    popcount of the AND of the candidate's item bitmaps."""
+    candidates = _candidates(level, keys, partners, variable, rows)
+    hits = bitmaps[candidates[:, 0]]
+    for column in candidates.T[1:]:
+        hits &= bitmaps[column]
+    support = np.bitwise_count(hits).sum(axis=1)
+    frequent = support >= threshold
+    return candidates[frequent], support[frequent]
+
+
+def _next_level(
+    ts: TransactionSet, level: np.ndarray, variable: np.ndarray, threshold: int, threads: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The frequent (k + 1)-itemsets and their counts, from a sorted level of
+    frequent k-itemsets, extended one chunk of rows at a time."""
+    m = len(level)
+    starts = np.flatnonzero(
+        np.concatenate(([True], (level[1:, :-1] != level[:-1, :-1]).any(axis=1)))
+    )
+    group_end = np.repeat(np.append(starts[1:], m), np.diff(np.append(starts, m)))
+    partners = group_end - np.arange(m) - 1
+    pairs_before = np.cumsum(partners) - partners
+    chunk_pairs = max(1, _CHUNK_WORDS // ts.bitmaps.shape[1])
+    cuts = np.arange(chunk_pairs, pairs_before[-1] + 1, chunk_pairs)
+    bounds = [0, *np.unique(np.searchsorted(pairs_before, cuts)).tolist(), m]
+    extend = partial(_extend, level, _row_keys(level), partners, variable, ts.bitmaps, threshold)
+    parts = run_ordered(extend, [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])], threads)
+    return (
+        np.concatenate([rows for rows, _ in parts]),
+        np.concatenate([counts for _, counts in parts]),
+    )
 
 
 def mine_frequent(
@@ -167,21 +245,21 @@ def mine_frequent(
             by_level={}, min_support_count=threshold, max_len=max_len, n_transactions=n
         )
 
+    n_items = len(ts.universe)
+    _, variable = np.unique(
+        [ts.universe.variable_of(i) for i in range(n_items)], return_inverse=True
+    )
+    counts = np.bitwise_count(ts.bitmaps).sum(axis=1)
+    frequent = counts >= threshold
+    level = np.flatnonzero(frequent).astype(np.min_scalar_type(max(n_items - 1, 0)))[:, None]
+    counts = counts[frequent]
     by_level: dict[int, tuple[tuple[Itemset, int], ...]] = {}
-    singles = [
-        ((item_id,), support_count(ts, (item_id,))) for item_id in range(len(ts.universe))
-    ]
-    level = [(iset, c) for iset, c in singles if c >= threshold]
     k = 1
-    while level and k <= max_len:
-        by_level[k] = tuple(level)
+    while len(level) and k <= max_len:
+        by_level[k] = tuple(zip(zip(*level.T.tolist()), counts.tolist()))
         if k == max_len:
             break
-        candidates = _join_candidates([iset for iset, _ in level], ts.universe.variable_of)
-        counts = run_ordered(lambda c: support_count(ts, c), candidates, threads)
-        level = sorted(
-            (iset, c) for iset, c in zip(candidates, counts) if c >= threshold
-        )
+        level, counts = _next_level(ts, level, variable, threshold, threads)
         k += 1
     return FrequentItemsets(
         by_level=by_level, min_support_count=threshold, max_len=max_len, n_transactions=n

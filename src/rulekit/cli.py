@@ -146,6 +146,16 @@ def _parse_case(entry: object, index: int) -> MiningCase:
     )
 
 
+def _optional_names(raw: Mapping, key: str) -> tuple[str, ...] | None:
+    """An optional array of variable names; a bare string or number is refused."""
+    value = raw.get(key)
+    if value is None:
+        return None
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValidationError(f"{key!r} must be an array of strings")
+    return tuple(value)
+
+
 def load_config(
     path: str | Path,
     out_dir: str | Path | None = None,
@@ -220,16 +230,10 @@ def load_config(
     if len(set(stems)) != len(stems):
         raise ValidationError("case names must stay distinct after sanitization")
 
-    features_raw = raw.get("features")
-    features = (
-        tuple(str(f) for f in features_raw) if features_raw is not None else None
-    )
+    features = _optional_names(raw, "features")
     if features is not None and not features:
         raise ValidationError("'features', when given, must be nonempty")
-    crosstab_raw = raw.get("crosstab_rows")
-    crosstab_rows = (
-        tuple(str(v) for v in crosstab_raw) if crosstab_raw is not None else None
-    )
+    crosstab_rows = _optional_names(raw, "crosstab_rows")
     top_k_features = int(raw.get("top_k_features", 10))
     if top_k_features < 1:
         raise ValidationError("top_k_features must be >= 1")

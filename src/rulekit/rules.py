@@ -157,12 +157,14 @@ def generate_rules(
                     continue
                 antecedent = tuple(i for i in itemset if i != y)
                 if antecedent:
-                    count_x = freq.support(antecedent)
-                    if count_x is None:
+                    entry = freq.entry(antecedent)
+                    if entry is None:
                         raise ValidationError(
                             "frequent itemsets are missing an antecedent subset; "
                             "they were mined at a different threshold"
                         )
+                    # the rule keeps the stored tuple, not a copy of it
+                    antecedent, count_x = entry
                 else:
                     count_x = n
                 s, c, lift = score(n, count_x, count_y[y], count_xy)

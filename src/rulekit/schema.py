@@ -286,6 +286,11 @@ def ingest(
             raise IngestError(f"missing column(s): {', '.join(sorted(missing))}")
 
         id_col = header_map[record_id_column]
+        coerce = policy is UnknownPolicy.COERCE
+        columns = [
+            (v.name, header_map[v.name], frozenset(v.categories), "unknown" in v.categories)
+            for v in dictionary.variables
+        ]
         records: list[Record] = []
         seen_ids: set[str] = set()
         for row in reader:
@@ -297,12 +302,10 @@ def ingest(
                 raise IngestError(f"row {line}: duplicate record_id {rid!r}")
             seen_ids.add(rid)
             values: dict[str, str] = {}
-            for var in dictionary.names:
-                cats = dictionary.variable(var).categories
-                raw = row.get(header_map[var])
-                val = (raw or "").strip()
+            for var, column, cats, has_unknown in columns:
+                val = (row.get(column) or "").strip()
                 if not val:
-                    if "unknown" in cats:
+                    if has_unknown:
                         val = "unknown"
                     else:
                         raise IngestError(
@@ -310,7 +313,7 @@ def ingest(
                             f"declares no 'unknown' category"
                         )
                 elif val not in cats:
-                    if policy is UnknownPolicy.COERCE and "unknown" in cats:
+                    if coerce and has_unknown:
                         val = "unknown"
                     else:
                         raise IngestError(

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from rulekit.apriori import FrequentItemsets
+from rulekit.apriori import FrequentItemsets, SupportSpec
 from rulekit.forest import (
     Forest,
     ForestConfig,
@@ -30,7 +30,7 @@ from rulekit.forest import (
 )
 from rulekit.rules import MiningCase, Rule, score
 from rulekit.schema import CrossTab, DataDictionary, Record, RecordSet, VariableSchema
-from rulekit.transactions import TransactionSet
+from rulekit.transactions import TransactionSet, support_count
 
 Item = tuple[str, str]
 
@@ -238,6 +238,62 @@ def oracle_rules(
                 if confidence >= min_confidence and lift >= min_lift:
                     out[(frozenset(combo), y)] = (count_xy, support, confidence, lift)
     return out
+
+
+def reference_join_candidates(
+    prev_level: list[tuple[int, ...]], variable_of
+) -> list[tuple[int, ...]]:
+    """Classic join of lexicographically sorted (k-1)-itemsets.
+
+    Two itemsets sharing their first k-2 items join into a k-candidate; the
+    two new last items must come from different variables (the shared prefix
+    is already same-variable-free), and every (k-1)-subset of the candidate
+    must be in prev_level.
+    """
+    candidates = []
+    prev_set = set(prev_level)
+    for i, a in enumerate(prev_level):
+        for b in prev_level[i + 1 :]:
+            if a[:-1] != b[:-1]:
+                break
+            if variable_of(a[-1]) == variable_of(b[-1]):
+                continue
+            candidate = a + (b[-1],)
+            if all(
+                subset in prev_set
+                for subset in itertools.combinations(candidate, len(candidate) - 1)
+            ):
+                candidates.append(candidate)
+    return candidates
+
+
+def reference_mine_frequent(
+    ts: TransactionSet, min_support: SupportSpec, max_len: int
+) -> FrequentItemsets:
+    """Level-wise Apriori one candidate at a time: the tuple join above and
+    one ``support_count`` call per candidate."""
+    n = ts.n_transactions
+    threshold = min_support.resolve(n)
+    by_level: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
+    level = [
+        ((i,), c)
+        for i in range(len(ts.universe))
+        if (c := support_count(ts, (i,))) >= threshold
+    ]
+    k = 1
+    while level and k <= max_len:
+        by_level[k] = tuple(level)
+        if k == max_len:
+            break
+        candidates = reference_join_candidates(
+            [iset for iset, _ in level], ts.universe.variable_of
+        )
+        counts = [support_count(ts, c) for c in candidates]
+        level = sorted((c, n_c) for c, n_c in zip(candidates, counts) if n_c >= threshold)
+        k += 1
+    return FrequentItemsets(
+        by_level=by_level, min_support_count=threshold, max_len=max_len, n_transactions=n
+    )
 
 
 def reference_generate_rules(

@@ -10,13 +10,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rulekit.apriori as apriori
 from generators import (
     make_dictionary,
     make_records,
     oracle_frequent_itemsets,
     random_record_set,
     record_itemsets,
+    reference_join_candidates,
+    reference_mine_frequent,
 )
+from rulekit import parallel, transactions
 from rulekit.apriori import FrequentItemsets, SupportSpec, dump_itemsets, mine_frequent
 from rulekit.errors import ValidationError
 from rulekit.transactions import encode, support_count
@@ -109,6 +113,14 @@ def test_mine_frequent_hand_worked(tiny_ts):
     assert freq.support((b2,)) is None
 
 
+def test_entry_is_the_stored_pair(tiny_ts):
+    freq = mine_frequent(tiny_ts, SupportSpec.of_count(1), max_len=2)
+    for entries in freq.by_level.values():
+        for entry in entries:
+            assert freq.entry(tuple(reversed(entry[0]))) is entry
+    assert freq.entry((0, 1, 2)) is None
+
+
 def test_min_len_validation(tiny_ts):
     with pytest.raises(ValidationError):
         mine_frequent(tiny_ts, SupportSpec.of_count(1), max_len=0)
@@ -178,3 +190,94 @@ def test_dump_itemsets_csv(tmp_path, tiny_ts):
     assert lines[0] == "level,items,support_count,support_fraction"
     assert len(lines) == 1 + len(freq)
     assert any("a=a1 b=b1" in line for line in lines)
+
+
+def _assert_same_levels(got: FrequentItemsets, want: FrequentItemsets) -> None:
+    assert got.by_level == want.by_level
+    for entries in got.by_level.values():
+        for itemset, count in entries:
+            assert type(count) is int
+            assert all(type(item) is int for item in itemset)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5))
+def test_matches_reference_miner(seed, min_count, max_len):
+    rs = random_record_set(random.Random(seed), max_items=16, max_transactions=96)
+    ts = encode(rs, list(rs.dictionary.names))
+    support = SupportSpec.of_count(min_count)
+    _assert_same_levels(
+        mine_frequent(ts, support, max_len), reference_mine_frequent(ts, support, max_len)
+    )
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_chunk_size_does_not_change_result(monkeypatch, chunk):
+    for seed in range(15):
+        # up to 200 transactions: bitmaps of one to four words
+        rs = random_record_set(random.Random(seed), max_items=16, max_transactions=200)
+        ts = encode(rs, list(rs.dictionary.names))
+        monkeypatch.setattr(apriori, "_CHUNK_WORDS", chunk * ts.bitmaps.shape[1])
+        support = SupportSpec.of_count(2)
+        _assert_same_levels(mine_frequent(ts, support, 4), reference_mine_frequent(ts, support, 4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from([1, 3, 1 << 17]))
+def test_counts_exactly_the_reference_candidates(seed, min_count, chunk):
+    """Same-variable pairs and candidates with an infrequent subset never
+    reach the count (their support is below threshold anyway, so only the
+    counted candidates show whether the join and the prune dropped them)."""
+    rs = random_record_set(random.Random(seed), max_items=16, max_transactions=96)
+    ts = encode(rs, list(rs.dictionary.names))
+    support = SupportSpec.of_count(min_count)
+    counted: dict[int, list[tuple[int, ...]]] = {}
+    candidates = apriori._candidates
+
+    def recording(*args):
+        found = candidates(*args)
+        counted.setdefault(found.shape[1], []).extend(map(tuple, found.tolist()))
+        return found
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(apriori, "_candidates", recording)
+        mp.setattr(apriori, "_CHUNK_WORDS", chunk * ts.bitmaps.shape[1])
+        mine_frequent(ts, support, 4)
+    want = reference_mine_frequent(ts, support, 4)
+    joined = {
+        k + 1: reference_join_candidates(
+            [iset for iset, _ in want.by_level[k]], ts.universe.variable_of
+        )
+        for k in sorted(want.by_level)
+        if k < 4
+    }
+    assert {k: c for k, c in counted.items() if c} == {k: c for k, c in joined.items() if c}
+
+
+def test_wide_universe_and_deep_planted_itemset():
+    """300+ item ids (past one byte) and an 8-item itemset on duplicated rows."""
+    n_vars, n_cats = 8, 40
+    spec = {f"v{j}": [f"c{c}" for c in range(n_cats)] for j in range(n_vars)}
+    planted = {var: cats[-1] for var, cats in spec.items()}
+    rng = random.Random(11)
+    rows = [planted] * 3
+    for _ in range(12):
+        row = {var: "c0" for var in spec}
+        row["v0"], row["v1"] = rng.choice(("c0", "c1")), rng.choice(("c0", "c1"))
+        rows.append(row)
+    rs = make_records(make_dictionary(spec), rows)
+    ts = encode(rs, list(spec), full_universe=True)
+    assert len(ts.universe) == 320
+    freq = mine_frequent(ts, SupportSpec.of_count(2), max_len=9)
+    got = {frozenset(ts.universe.items[i] for i in itemset): count for itemset, count in freq}
+    assert got == oracle_frequent_itemsets(record_itemsets(rs, list(spec)), 2, 9)
+    planted_ids = tuple(ts.universe.item_id(var, cat) for var, cat in planted.items())
+    assert max(planted_ids) > 255
+    assert freq.support(planted_ids) == 3
+    assert max(freq.by_level) == 8
+
+
+def test_traced_names_stay_importable_from_apriori():
+    # benchmark tracing patches these two names in rulekit.apriori
+    assert apriori.support_count is transactions.support_count
+    assert apriori.run_ordered is parallel.run_ordered

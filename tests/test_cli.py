@@ -189,6 +189,22 @@ class TestConfigErrors:
                 lambda c: c.update({"cases": [c["cases"][0], dict(c["cases"][0])]}),
                 "distinct",
             ),
+            (
+                lambda c: c.update({"features": "weather"}),
+                "'features' must be an array of strings",
+            ),
+            (
+                lambda c: c.update({"features": 5}),
+                "'features' must be an array of strings",
+            ),
+            (
+                lambda c: c.update({"crosstab_rows": "weather"}),
+                "'crosstab_rows' must be an array of strings",
+            ),
+            (
+                lambda c: c.update({"crosstab_rows": 5}),
+                "'crosstab_rows' must be an array of strings",
+            ),
         ],
     )
     def test_rejected_configs_exit_2(self, tmp_path, capsys, mutate, needle):

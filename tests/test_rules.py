@@ -175,6 +175,10 @@ class TestGenerateRules:
         got = generate_rules(freq, ts, case, allow_empty_antecedent=allow_empty)
         want = reference_generate_rules(freq, ts, case, allow_empty_antecedent=allow_empty)
         assert got == want
+        # rules hold the antecedent tuples stored in the lattice, not copies
+        assert all(
+            rule.antecedent is freq.entry(rule.antecedent)[0] for rule in got if rule.antecedent
+        )
 
 
 class TestPruneRedundant:
