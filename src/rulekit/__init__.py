@@ -18,8 +18,8 @@ from .forest import (
     train,
 )
 from .report import Artifact, ReportBundle
-from .rules import CaseResult, MiningCase, Rule, generate_rules, prune_redundant, \
-    rank_rules, run_case, score
+from .rules import CaseResult, MiningCase, Rule, RuleTable, generate_rules, \
+    prune_redundant, rank_rules, run_case, score
 from .schema import (
     DataDictionary,
     FilterStep,
@@ -54,6 +54,7 @@ __all__ = [
     "RecordSet",
     "ReportBundle",
     "Rule",
+    "RuleTable",
     "RulekitError",
     "SupportSpec",
     "TransactionSet",

@@ -9,20 +9,27 @@ disjoint from X. Metrics come straight from integer counts:
 
 A rule is worth keeping only when it clears the per-case thresholds; lift
 above 1 marks a positive association. Redundant rules (dominated by a
-simpler rule with a subset antecedent and at least the same confidence) are
-pruned before ranking by descending lift.
+simpler rule with a subset antecedent, the same consequent and at least the
+same confidence) are pruned before ranking by descending lift.
+
+Generation reads the miner's level arrays into a ``RuleTable`` of columns,
+which the prune and the ranking sort and search whole; only the top k
+become ``Rule`` objects. Metrics are float64 divisions of int64 counts: the
+doubles ``score()`` gives for n <= 94,906,265 transactions, and a larger n
+is refused.
 """
 
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, replace
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Mapping, Sequence
 
-from .apriori import FrequentItemsets, SupportSpec, mine_frequent
+import numpy as np
+
+from .apriori import FrequentItemsets, SupportSpec, _locate, _row_keys, mine_frequent
 from .errors import ValidationError
 from .io_utils import write_csv, write_json
 from .transactions import Item, ItemUniverse, TransactionSet, item_token
@@ -113,116 +120,183 @@ class MiningCase:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class RuleTable(Sequence):
+    """Rules as columns, one row per rule; a ``Rule`` is built only when a row
+    is read. ``antecedent`` is ``(R, w)``: a row's item ids, then -1s. The
+    table equals any sequence of equal rules in the same order."""
+
+    antecedent: np.ndarray
+    consequent: np.ndarray
+    joint_count: np.ndarray
+    support: np.ndarray
+    confidence: np.ndarray
+    lift: np.ndarray
+
+    @classmethod
+    def from_rules(cls, rules: Sequence[Rule]) -> RuleTable:
+        """The rules as a table; a table is returned as it is."""
+        if isinstance(rules, RuleTable):
+            return rules
+        w = max((len(r.antecedent) for r in rules), default=0)
+        ints = [(*r.antecedent, *[-1] * (w - len(r.antecedent)), r.consequent, r.joint_count)
+                for r in rules]
+        ints = np.array(ints, np.int64).reshape(len(rules), w + 2)
+        metrics = np.array([(r.support, r.confidence, r.lift) for r in rules], np.float64)
+        return cls(ints[:, :w], *ints[:, w:].T, *metrics.reshape(len(rules), 3).T)
+
+    def take(self, index: np.ndarray) -> RuleTable:
+        return RuleTable(*(column[index] for column in vars(self).values()))
+
+    def rules(self, index: np.ndarray | slice, ids: Sequence[str | None]) -> list[Rule]:
+        """The ``Rule``s of the given rows, holding Python ints and floats."""
+        columns = (column[index].tolist() for column in vars(self).values())
+        return [
+            Rule(id, tuple(i for i in items if i >= 0), *rest)
+            for id, items, *rest in zip(ids, *columns)
+        ]
+
+    def __len__(self) -> int:
+        return len(self.consequent)
+
+    def __getitem__(self, i: int) -> Rule:
+        return self.rules([i], [None])[0]
+
+    def __iter__(self) -> Iterator[Rule]:
+        return iter(self.rules(slice(None), [None] * len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
+# The largest n with n * n <= 2**53: every count product is then an exact
+# double, and one float64 division rounds as score()'s exact one does.
+MAX_EXACT_TRANSACTIONS = 94_906_265
+
+
+def _scores(
+    n: int, count_x: np.ndarray, count_y: np.ndarray, count_xy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """score() over int64 count arrays, bit for bit while n <= 94,906,265."""
+    lift = (count_xy * n).astype(np.float64) / (count_x * count_y).astype(np.float64)
+    return count_xy / np.float64(n), count_xy / count_x.astype(np.float64), lift
+
+
 def generate_rules(
     freq: FrequentItemsets,
     ts: TransactionSet,
     case: MiningCase,
     allow_empty_antecedent: bool = False,
-) -> list[Rule]:
+) -> RuleTable:
     """Emit every rule (Z without Y) -> Y from frequent itemsets Z containing Y.
 
     A rule survives when its joint count meets the case's resolved support
     threshold and confidence and lift clear their minimums (both inclusive).
+    Rules are ordered by (consequent, level, itemset).
     """
     n = ts.n_transactions
+    if n > MAX_EXACT_TRANSACTIONS:
+        raise ValidationError(f"rule metrics are exact up to {MAX_EXACT_TRANSACTIONS} records")
     threshold = case.min_support.resolve(n)
+    count_y = np.zeros(len(ts.universe), dtype=np.int64)
+    if 1 in freq.levels:
+        count_y[freq.levels[1][0][:, 0]] = freq.levels[1][1]
     if case.consequent is not None:
-        consequents = [ts.universe.item_id(*case.consequent)]
-    else:
-        consequents = list(range(len(ts.universe)))
-
-    # One pass over the lattice: each itemset emits one rule per frequent
-    # consequent it holds. Groups are created in consequent-id order, so the
-    # result is ordered by (consequent, level, itemset).
-    count_y: dict[int, int] = {}
-    for y in consequents:
-        count = freq.support((y,))
-        if count is not None:
-            count_y[y] = count
-        elif case.consequent is not None:
+        y = ts.universe.item_id(*case.consequent)
+        if not count_y[y]:
             logger.warning(
                 "consequent %s is not frequent at resolved support count %d; no rules",
                 ts.universe.token(y),
                 threshold,
             )
-    by_consequent: dict[int, list[Rule]] = {y: [] for y in count_y}
-    for k in sorted(freq.by_level):
-        if k > case.max_rule_items or (k == 1 and not allow_empty_antecedent):
-            continue
-        for itemset, count_xy in freq.by_level[k]:
-            if count_xy < threshold:
-                continue
-            for y in itemset:
-                if y not in count_y:
-                    continue
-                antecedent = tuple(i for i in itemset if i != y)
-                if antecedent:
-                    entry = freq.entry(antecedent)
-                    if entry is None:
-                        raise ValidationError(
-                            "frequent itemsets are missing an antecedent subset; "
-                            "they were mined at a different threshold"
-                        )
-                    # the rule keeps the stored tuple, not a copy of it
-                    antecedent, count_x = entry
-                else:
-                    count_x = n
-                s, c, lift = score(n, count_x, count_y[y], count_xy)
-                if c >= case.min_confidence and lift >= case.min_lift:
-                    by_consequent[y].append(
-                        Rule(
-                            id=None,
-                            antecedent=antecedent,
-                            consequent=y,
-                            joint_count=count_xy,
-                            support=s,
-                            confidence=c,
-                            lift=lift,
-                        )
+        count_y[np.arange(len(count_y)) != y] = 0
+
+    # Column j of a level's rows is the consequent and the other columns the
+    # antecedent, found in the level below. A rule's position is its
+    # itemset's rank in the lattice.
+    levels = [k for k in sorted(freq.levels) if k <= case.max_rule_items]
+    levels = [k for k in levels if k > 1 or allow_empty_antecedent]
+    width = max(levels, default=1) - 1
+    parts = [(np.empty((0, width), np.int64),) + (np.empty(0, np.int64),) * 4]
+    offset = 0
+    for k in levels:
+        items, counts = freq.levels[k]
+        rows = np.flatnonzero(counts >= threshold)
+        below, below_counts = freq.levels.get(k - 1, (items[:0, 1:], counts[:0]))
+        below_keys = _row_keys(below) if k > 1 else None
+        for j in range(k):
+            with_y = rows[count_y[items[rows, j]] > 0]
+            antecedent = np.delete(items[with_y], j, axis=1)
+            count_x = np.full(len(with_y), n)
+            if k > 1:
+                at, found = _locate(below_keys, antecedent)
+                if not found.all():
+                    raise ValidationError(
+                        "frequent itemsets are missing an antecedent subset; "
+                        "they were mined at a different threshold"
                     )
-    return [rule for group in by_consequent.values() for rule in group]
+                count_x = below_counts[at]
+            padded = np.full((len(with_y), width), -1, np.int64)
+            padded[:, : k - 1] = antecedent
+            parts.append((padded, items[with_y, j], count_x, counts[with_y], offset + with_y))
+        offset += len(items)
+    antecedent, consequent, count_x, count_xy, position = map(np.concatenate, zip(*parts))
+    support, confidence, lift = _scores(n, count_x, count_y[consequent], count_xy)
+    index = np.flatnonzero((confidence >= case.min_confidence) & (lift >= case.min_lift))
+    index = index[np.lexsort((position[index], consequent[index]))]
+    table = RuleTable(antecedent, consequent, count_xy, support, confidence, lift)
+    return table.take(index)
 
 
-def prune_redundant(rules: Sequence[Rule]) -> list[Rule]:
+def prune_redundant(rules: Sequence[Rule]) -> Sequence[Rule]:
     """Drop rules dominated by a simpler rule with the same consequent.
 
     X -> Y is removed iff some X' -> Y in the input has X' a strict subset
-    of X and confidence at least as high. Dominance is transitive along
-    subset chains, so keeping exactly the undominated rules is a fixed
-    point. Each rule looks up its proper-subset antecedents in a map from
-    antecedent to the best confidence among rules with that antecedent.
+    of X and confidence at least as high. Each rule looks up the best
+    confidence of its proper-subset (consequent, antecedent) keys, one
+    search per antecedent length and subset pattern. A table comes back as
+    a table, a sequence as a list of its kept rules, in input order.
     """
-    if len({r.consequent for r in rules}) > 1:
-        raise ValidationError("prune_redundant requires all rules to share one consequent")
-    keys = [tuple(sorted(set(r.antecedent))) for r in rules]
-    best: dict[tuple[int, ...], float] = {}
-    for key, rule in zip(keys, rules):
-        if key not in best or rule.confidence > best[key]:
-            best[key] = rule.confidence
-    retained = []
-    for key, rule in zip(keys, rules):
-        dominated = any(
-            best.get(subset, -math.inf) >= rule.confidence
-            for size in range(len(key))
-            for subset in combinations(key, size)
-        )
-        if not dominated:
-            retained.append(rule)
-    return retained
+    table = RuleTable.from_rules(rules)
+    # key: consequent, then the antecedent ids + 1 in descending order, 0-padded
+    keys = np.column_stack((table.consequent, -np.sort(-1 - table.antecedent, axis=1)))
+    keys = keys.astype(np.min_scalar_type(int(keys.max(initial=0))))
+    row_keys = _row_keys(keys)
+    order = np.argsort(row_keys, kind="stable")
+    new = row_keys[order[1:]] != row_keys[order[:-1]]
+    starts = np.flatnonzero(np.concatenate(([len(keys) > 0], new)))
+    unique_keys = row_keys[order[starts]]
+    best = np.maximum.reduceat(table.confidence[order], starts)
+    lengths = (keys[:, 1:] > 0).sum(axis=1)
+    dominated = np.zeros(len(keys), dtype=bool)
+    for length in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == length)
+        own, confidence = keys[rows], table.confidence[rows]
+        hit = np.zeros(len(rows), dtype=bool)
+        for size in range(length):
+            for pattern in combinations(range(1, length + 1), size):
+                subsets = np.zeros_like(own)
+                subsets[:, : size + 1] = own[:, (0, *pattern)]
+                at, found = _locate(unique_keys, subsets)
+                hit |= found & (best[at] >= confidence)
+        dominated[rows] = hit
+    kept = np.flatnonzero(~dominated)
+    return table.take(kept) if table is rules else [rules[i] for i in kept]
 
 
 def rank_rules(rules: Sequence[Rule], top_k: int) -> list[Rule]:
     """Rank by lift desc, then confidence, support, and antecedent item ids.
 
-    The order is total, so ranking is invariant to the input permutation.
-    Ids "R1".."Rk" are assigned in final order; the first top_k are returned.
+    The order is total, so ranking is invariant to the input permutation;
+    antecedents padded with -1 sort as tuples do, a prefix first. Ids
+    "R1".."Rk" are assigned in final order; only the top_k become ``Rule``s.
     """
     if top_k < 0:
         raise ValidationError("top_k must be >= 0")
-    ordered = sorted(
-        rules, key=lambda r: (-r.lift, -r.confidence, -r.support, r.antecedent, r.consequent)
-    )
-    return [replace(rule, id=f"R{i + 1}") for i, rule in enumerate(ordered[:top_k])]
+    t = RuleTable.from_rules(rules)
+    keys = (t.consequent, *t.antecedent.T[::-1], -t.support, -t.confidence, -t.lift)
+    top = np.lexsort(keys)[:top_k]
+    return t.rules(top, [f"R{i + 1}" for i in range(len(top))])
 
 
 @dataclass(frozen=True)
@@ -259,14 +333,7 @@ def run_case(
     logger.info("case %r: resolved min support count = %d of %d", case.name, resolved, n)
     freq = mine_frequent(ts, case.min_support, case.max_rule_items, threads=threads)
     generated = generate_rules(freq, ts, case, allow_empty_antecedent=allow_empty_antecedent)
-
-    # Pruning compares rules per consequent; constrained cases have a single
-    # group, the unconstrained variant one group per consequent item.
-    groups: dict[int, list[Rule]] = {}
-    for rule in generated:
-        groups.setdefault(rule.consequent, []).append(rule)
-    pruned = [rule for y in sorted(groups) for rule in prune_redundant(groups[y])]
-
+    pruned = prune_redundant(generated)
     ranked = rank_rules(pruned, case.top_k)
     if not ranked:
         logger.warning("case %r produced no rules", case.name)

@@ -115,6 +115,7 @@ def test_mine_frequent_hand_worked(tiny_ts):
 
 def test_entry_is_the_stored_pair(tiny_ts):
     freq = mine_frequent(tiny_ts, SupportSpec.of_count(1), max_len=2)
+    assert "_entries" not in vars(freq)  # the lookup is built on first use
     for entries in freq.by_level.values():
         for entry in entries:
             assert freq.entry(tuple(reversed(entry[0]))) is entry
@@ -198,6 +199,10 @@ def _assert_same_levels(got: FrequentItemsets, want: FrequentItemsets) -> None:
         for itemset, count in entries:
             assert type(count) is int
             assert all(type(item) is int for item in itemset)
+    # the miner's level arrays equal those built from the reference's tuples
+    assert got.levels.keys() == want.levels.keys()
+    for k, (items, counts) in got.levels.items():
+        assert (items == want.levels[k][0]).all() and (counts == want.levels[k][1]).all()
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,27 +2,36 @@
 
 import logging
 import random
+from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from generators import (
     independence_records,
+    make_dictionary,
+    make_records,
     oracle_rules,
     planted_rule_records,
     random_record_set,
     record_itemsets,
     reference_generate_rules,
+    reference_mine_frequent,
     reference_prune_redundant,
     two_item_records,
 )
-from rulekit.apriori import SupportSpec, mine_frequent
+from rulekit.apriori import FrequentItemsets, SupportSpec, mine_frequent
 from rulekit.errors import ValidationError
 from rulekit.rules import (
+    MAX_EXACT_TRANSACTIONS,
     MiningCase,
     Rule,
+    RuleTable,
+    _scores,
     export_case_csv,
     export_case_metadata,
     generate_rules,
@@ -139,6 +148,23 @@ class TestGenerateRules:
         assert empties[0].confidence == 810 / 1800
         assert empties[0].lift == 1.0
 
+    def test_missing_antecedent_subset_is_refused(self):
+        rs, _, consequent, _ = planted_rule_records()
+        case = MiningCase(name="gap", consequent=consequent,
+                          min_support=SupportSpec.of_count(1),
+                          min_confidence=0.01, min_lift=0.0)
+        ts, freq = _mine_case(rs, case)
+        y = ts.universe.item_id(*consequent)
+        singles = tuple(entry for entry in freq.by_level[1] if entry[0] == (y,))
+        gapped = FrequentItemsets(
+            by_level={**freq.by_level, 1: singles},
+            min_support_count=1,
+            max_len=freq.max_len,
+            n_transactions=freq.n_transactions,
+        )
+        with pytest.raises(ValidationError, match="missing an antecedent subset"):
+            generate_rules(gapped, ts, case)
+
     def test_max_rule_items_caps_antecedent_size(self):
         rs = random_record_set(random.Random(3))
         ts = encode(rs, list(rs.dictionary.names))
@@ -175,10 +201,63 @@ class TestGenerateRules:
         got = generate_rules(freq, ts, case, allow_empty_antecedent=allow_empty)
         want = reference_generate_rules(freq, ts, case, allow_empty_antecedent=allow_empty)
         assert got == want
-        # rules hold the antecedent tuples stored in the lattice, not copies
-        assert all(
-            rule.antecedent is freq.entry(rule.antecedent)[0] for rule in got if rule.antecedent
+        # levels built from by_level alone: int64 rows, byte-string keys from k = 2
+        ref_freq = reference_mine_frequent(ts, case.min_support, 4)
+        assert generate_rules(ref_freq, ts, case, allow_empty_antecedent=allow_empty) == want
+        # the table's prune and rank against the per-consequent references
+        want_kept = [
+            rule
+            for y in sorted({r.consequent for r in want})
+            for rule in reference_prune_redundant([r for r in want if r.consequent == y])
+        ]
+        kept = prune_redundant(got)
+        assert kept == want_kept
+        want_ranked = sorted(
+            want_kept, key=lambda r: (-r.lift, -r.confidence, -r.support, r.antecedent, r.consequent)
+        )[:7]
+        assert rank_rules(kept, 7) == [
+            replace(rule, id=f"R{i + 1}") for i, rule in enumerate(want_ranked)
+        ]
+
+
+class TestExactScores:
+    @settings(max_examples=300)
+    @example(  # the largest count products, n * n, and near-ties with them
+        (MAX_EXACT_TRANSACTIONS, [(MAX_EXACT_TRANSACTIONS, MAX_EXACT_TRANSACTIONS, 1.0),
+                                  (MAX_EXACT_TRANSACTIONS - 1, MAX_EXACT_TRANSACTIONS, 1.0),
+                                  (3, MAX_EXACT_TRANSACTIONS - 2, 0.7),
+                                  (MAX_EXACT_TRANSACTIONS, 1, 1.0)])
+    )
+    @given(
+        st.integers(1, MAX_EXACT_TRANSACTIONS).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(st.integers(1, n), st.integers(1, n), st.floats(0, 1)),
+                    min_size=1,
+                    max_size=20,
+                ),
+            )
         )
+    )
+    def test_array_scores_are_bitwise_score(self, args):
+        n, triples = args
+        counts = [(x, y, int(f * min(x, y))) for x, y, f in triples]
+        count_x, count_y, count_xy = (np.array(c, dtype=np.int64) for c in zip(*counts))
+        got = np.stack(_scores(n, count_x, count_y, count_xy), axis=1)
+        want = np.array([score(n, *c) for c in counts])
+        assert (got.view(np.uint64) == want.view(np.uint64)).all()
+
+    def test_larger_n_is_refused(self):
+        rs, _, consequent, _ = planted_rule_records()
+        case = MiningCase(name="big", consequent=consequent,
+                          min_support=SupportSpec.of_count(1),
+                          min_confidence=0.1, min_lift=0.0)
+        ts, freq = _mine_case(rs, case)
+        # a stand-in transaction set: only its count is read before the check
+        huge = SimpleNamespace(n_transactions=MAX_EXACT_TRANSACTIONS + 1, universe=ts.universe)
+        with pytest.raises(ValidationError, match="exact"):
+            generate_rules(freq, huge, case)
 
 
 class TestPruneRedundant:
@@ -207,10 +286,27 @@ class TestPruneRedundant:
         b = self._rule((2,), 0.9)
         assert prune_redundant([a, b]) == [a, b]
 
-    def test_mixed_consequents_rejected(self):
-        with pytest.raises(ValidationError):
-            prune_redundant([self._rule((1,), 0.5, consequent=7),
-                             self._rule((2,), 0.5, consequent=8)])
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 4), unique=True, max_size=3),
+                st.sampled_from((0.5, 0.75, 1.0)),
+                st.integers(5, 7),
+            ),
+            max_size=40,
+        )
+    )
+    def test_mixed_consequents_pruned_per_consequent(self, specs):
+        rules = [self._rule(antecedent, c, consequent=y) for antecedent, c, y in specs]
+        kept = {
+            id(rule)
+            for y in range(5, 8)
+            for rule in reference_prune_redundant([r for r in rules if r.consequent == y])
+        }
+        want = [rule for rule in rules if id(rule) in kept]
+        assert prune_redundant(rules) == want
+        assert prune_redundant(RuleTable.from_rules(rules)) == want
 
     def test_idempotent_on_random_rule_sets(self):
         rng = random.Random(11)
@@ -260,6 +356,12 @@ class TestRankRules:
         a = self._rule(2.0, 0.9, 0.1, antecedent=(1, 3))
         b = self._rule(2.0, 0.9, 0.1, antecedent=(1, 2))
         assert [r.antecedent for r in rank_rules([a, b], 5)] == [(1, 2), (1, 3)]
+
+    def test_empty_antecedent_ranks_before_item_zero(self):
+        # tied metrics: () -> 9 must precede (0,) -> 9 whatever the input order
+        item_zero = self._rule(2.0, 0.9, 0.1, antecedent=(0,))
+        empty = self._rule(2.0, 0.9, 0.1, antecedent=())
+        assert [r.antecedent for r in rank_rules([item_zero, empty], 2)] == [(), (0,)]
 
     def test_top_k_slices_after_sorting(self):
         rules = [self._rule(float(lift), 0.5, 0.1) for lift in (1, 3, 2)]
@@ -321,6 +423,23 @@ class TestRunCase:
             ]
             expected_counts += len(kept)
         assert len(result.rules) == expected_counts
+
+    def test_builds_rule_objects_only_for_the_top_k(self, monkeypatch):
+        rng = random.Random(12)
+        spec = {f"v{v}": [f"c{v}_{c}" for c in range(3)] for v in range(6)}
+        rs = make_records(
+            make_dictionary(spec),
+            [{v: rng.choice(cats) for v, cats in spec.items()} for _ in range(200)],
+        )
+        ts = encode(rs, list(rs.dictionary.names))
+        case = MiningCase(name="dense", consequent=None,
+                          min_support=SupportSpec.of_count(1),
+                          min_confidence=0.01, min_lift=0.0, top_k=5)
+        built = []
+        monkeypatch.setattr(Rule, "__post_init__", lambda rule: built.append(rule))
+        result = run_case(ts, case)
+        assert result.rules_after_pruning > 100 * case.top_k
+        assert len(built) == len(result.rules) == case.top_k
 
     def test_zero_rule_case_warns(self, caplog):
         rs, _, consequent, _ = planted_rule_records()
