@@ -122,6 +122,23 @@ def _stage(name: str) -> Iterator[None]:
         raise CliFailure(name, f"{type(exc).__name__}: {exc}", 1) from exc
 
 
+def _number(raw: Mapping, key: str, default: object, kind: type = int, where: str = ""):
+    """``raw[key]`` (else ``default``) as a JSON number of ``kind``: int, or float.
+
+    A bool, a string, null or (for ``int``) a fraction is refused, naming the key.
+    """
+    value = raw.get(key, default)
+    allowed = (int,) if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        noun = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{where}{key!r} must be {noun}, got {value!r}")
+    return kind(value)
+
+
+def _optional_int(raw: Mapping, key: str, where: str = "") -> int | None:
+    return None if raw.get(key) is None else _number(raw, key, None, int, where)
+
+
 def _parse_case(entry: object, index: int) -> MiningCase:
     if not isinstance(entry, Mapping):
         raise ValidationError(f"cases[{index}] must be an object")
@@ -135,14 +152,15 @@ def _parse_case(entry: object, index: int) -> MiningCase:
             raise ValidationError(f"cases[{index}] is missing {key!r}")
     consequent = entry.get("consequent")
     item = parse_item_token(str(consequent)) if consequent is not None else None
+    where = f"cases[{index}] "
     return MiningCase(
         name=str(entry["name"]),
         consequent=item,
         min_support=SupportSpec.parse(entry["min_support"]),
-        min_confidence=float(entry["min_confidence"]),
-        min_lift=float(entry.get("min_lift", 1.1)),
-        max_rule_items=int(entry.get("max_rule_items", 4)),
-        top_k=int(entry.get("top_k", 20)),
+        min_confidence=_number(entry, "min_confidence", None, float, where),
+        min_lift=_number(entry, "min_lift", 1.1, float, where),
+        max_rule_items=_number(entry, "max_rule_items", 4, int, where),
+        top_k=_number(entry, "top_k", 20, int, where),
     )
 
 
@@ -194,7 +212,7 @@ def load_config(
         if not p.exists():
             raise ValidationError(f"referenced path {p} does not exist")
 
-    global_seed = int(seed if seed is not None else raw.get("seed", 0))
+    global_seed = seed if seed is not None else _number(raw, "seed", 0)
     forest_raw = raw.get("forest", {})
     if not isinstance(forest_raw, Mapping):
         raise ValidationError("'forest' must be an object")
@@ -202,13 +220,11 @@ def load_config(
     if unknown:
         raise ValidationError(f"forest has unknown key(s): {', '.join(sorted(unknown))}")
     forest_cfg = ForestConfig(
-        n_trees=int(forest_raw.get("n_trees", 500)),
-        mtry=int(forest_raw["mtry"]) if forest_raw.get("mtry") is not None else None,
-        min_node_size=int(forest_raw.get("min_node_size", 1)),
-        max_depth=int(forest_raw["max_depth"])
-        if forest_raw.get("max_depth") is not None
-        else None,
-        seed=int(forest_raw.get("seed", global_seed)),
+        n_trees=_number(forest_raw, "n_trees", 500, int, "forest "),
+        mtry=_optional_int(forest_raw, "mtry", "forest "),
+        min_node_size=_number(forest_raw, "min_node_size", 1, int, "forest "),
+        max_depth=_optional_int(forest_raw, "max_depth", "forest "),
+        seed=_number(forest_raw, "seed", global_seed, int, "forest "),
     )
 
     policy_name = str(raw.get("unknown_policy", "reject")).lower()
@@ -234,7 +250,7 @@ def load_config(
     if features is not None and not features:
         raise ValidationError("'features', when given, must be nonempty")
     crosstab_rows = _optional_names(raw, "crosstab_rows")
-    top_k_features = int(raw.get("top_k_features", 10))
+    top_k_features = _number(raw, "top_k_features", 10)
     if top_k_features < 1:
         raise ValidationError("top_k_features must be >= 1")
 

@@ -4,9 +4,13 @@ The dictionary declares every categorical variable with its ordered category
 list (coded scales such as lighting conditions or injury severity live here).
 Records are validated against it at ingest time: each record carries exactly
 one category per variable, and "unknown" is an ordinary category that is
-never dropped silently. All types are immutable after construction. A
-RecordSet encodes its records once, into the category-code matrix that every
-later stage reads; nothing else maps categories to codes.
+never dropped silently. All types are immutable after construction.
+
+A RecordSet stores its records in columnar form only: the record ids plus
+one read-only category-code matrix that every later stage reads. Ingest, the
+RecordSet constructor and filter steps turn category strings into codes
+through one helper, and filtering slices the matrix. ``RecordSet.records``
+is a view of per-row ``Record``s, built from the codes on first access.
 """
 
 from __future__ import annotations
@@ -16,9 +20,11 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress
+from functools import cached_property
+from itertools import compress, repeat
 from operator import itemgetter
 from pathlib import Path
+from types import MappingProxyType
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -111,8 +117,8 @@ class DataDictionary:
     def category_index(self, variable: str, category: str) -> int:
         var = self.variable(variable)
         try:
-            return var.categories.index(category)
-        except ValueError:
+            return int(_category_codes(var, [category])[0])
+        except KeyError:
             raise ValidationError(
                 f"unknown category {category!r} of variable {variable!r}"
             ) from None
@@ -180,25 +186,65 @@ class FilterLogEntry:
     records_after: int
 
 
-@dataclass(frozen=True)
+class UnknownPolicy(Enum):
+    """How ingest treats values that are not in the dictionary."""
+
+    REJECT = "reject"
+    COERCE = "coerce"
+
+
+def _category_codes(
+    var: VariableSchema,
+    cells: Sequence[str],
+    dtype: np.dtype = np.dtype(np.intp),
+    policy: UnknownPolicy | None = None,
+) -> np.ndarray:
+    """Map category strings to their indices in ``var``: the one place that does.
+
+    Under an ingest ``policy`` a blank cell stands for "unknown" when ``var``
+    declares it, and under COERCE so does any other string that is not a
+    category. A string left without a code raises KeyError.
+    """
+    index = {cat: code for code, cat in enumerate(var.categories)}
+    unknown = index.get("unknown")
+    if policy is not None and unknown is not None:
+        index[""] = unknown
+        if policy is UnknownPolicy.COERCE:
+            return np.fromiter(map(index.get, cells, repeat(unknown)), dtype, len(cells))
+    return np.fromiter(map(index.__getitem__, cells), dtype, len(cells))
+
+
+def _empty_codes(dictionary: DataDictionary, n_records: int) -> np.ndarray:
+    width = max((len(var.categories) for var in dictionary.variables), default=1)
+    return np.empty((len(dictionary.variables), n_records), np.min_scalar_type(width - 1))
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class RecordSet:
     """Validated records plus the provenance of any filters applied to them.
 
-    ``codes`` (derived, read-only, shape (n_variables, n_records)) holds in
-    row j each record's category index in the j-th dictionary variable, in
-    the smallest unsigned dtype that fits the widest variable (uint8 up to
-    256 categories).
+    The stored form is columnar: ``record_ids`` and ``codes`` (read-only,
+    shape (n_variables, n_records)), which holds in row j each record's
+    category index in the j-th dictionary variable, in the smallest unsigned
+    dtype that fits the widest variable (uint8 up to 256 categories).
+    ``records`` is a view of them, built on first access.
     """
 
     dictionary: DataDictionary
-    records: tuple[Record, ...]
+    record_ids: tuple[str, ...]
+    codes: np.ndarray = field(repr=False)
     filter_log: tuple[FilterLogEntry, ...] = ()
-    codes: np.ndarray = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        names = set(self.dictionary.names)
+    def __init__(
+        self,
+        dictionary: DataDictionary,
+        records: Iterable[Record],
+        filter_log: tuple[FilterLogEntry, ...] = (),
+    ) -> None:
+        records = tuple(records)
+        names = set(dictionary.names)
         seen_ids: set[str] = set()
-        for rec in self.records:
+        for rec in records:
             if rec.record_id in seen_ids:
                 raise ValidationError(f"duplicate record_id {rec.record_id!r}")
             seen_ids.add(rec.record_id)
@@ -208,26 +254,23 @@ class RecordSet:
                     f"(missing={sorted(names - rec.values.keys())}, "
                     f"extra={sorted(rec.values.keys() - names)})"
                 )
-        variables = self.dictionary.variables
-        width = max((len(var.categories) for var in variables), default=1)
-        codes = np.empty((len(variables), len(self.records)), dtype=np.min_scalar_type(width - 1))
-        values = [rec.values for rec in self.records]
-        for row, var in zip(codes, variables):
-            index = {cat: code for code, cat in enumerate(var.categories)}
-            try:
-                row[:] = np.fromiter(
-                    map(index.__getitem__, map(itemgetter(var.name), values)), codes.dtype
-                )
-            except KeyError:
-                rec = next(r for r in self.records if r.values[var.name] not in index)
-                raise ValidationError(
-                    f"record {rec.record_id!r}: {rec.values[var.name]!r} is not a category "
-                    f"of {var.name!r}"
-                ) from None
-        codes.setflags(write=False)
-        object.__setattr__(self, "codes", codes)
+        codes = _empty_codes(dictionary, len(records))
+        try:
+            for row, var in zip(codes, dictionary.variables):
+                row[:] = _category_codes(var, [rec.values[var.name] for rec in records], row.dtype)
+        except KeyError:
+            var, rec = next(
+                (var, rec)
+                for var in dictionary.variables
+                for rec in records
+                if rec.values[var.name] not in var.categories
+            )
+            raise ValidationError(
+                f"record {rec.record_id!r}: {rec.values[var.name]!r} is not a category "
+                f"of {var.name!r}"
+            ) from None
         prev_after = None
-        for entry in self.filter_log:
+        for entry in filter_log:
             if entry.records_after > entry.records_before:
                 raise ValidationError(
                     f"filter log entry {entry.description!r} increases the record count"
@@ -235,21 +278,65 @@ class RecordSet:
             if prev_after is not None and entry.records_before > prev_after:
                 raise ValidationError("filter log counts are not monotone non-increasing")
             prev_after = entry.records_after
+        self._store(dictionary, tuple(rec.record_id for rec in records), codes, tuple(filter_log))
+
+    @classmethod
+    def _of_codes(
+        cls,
+        dictionary: DataDictionary,
+        record_ids: tuple[str, ...],
+        codes: np.ndarray,
+        filter_log: tuple[FilterLogEntry, ...] = (),
+    ) -> RecordSet:
+        """A RecordSet over ids, codes and a filter log that rulekit built itself."""
+        rs = cls.__new__(cls)
+        rs._store(dictionary, record_ids, codes, filter_log)
+        return rs
+
+    def _store(
+        self,
+        dictionary: DataDictionary,
+        record_ids: tuple[str, ...],
+        codes: np.ndarray,
+        filter_log: tuple[FilterLogEntry, ...],
+    ) -> None:
+        codes.setflags(write=False)
+        object.__setattr__(self, "dictionary", dictionary)
+        object.__setattr__(self, "record_ids", record_ids)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "filter_log", filter_log)
+
+    def _category_columns(self) -> list[list[str]]:
+        return [
+            list(map(var.categories.__getitem__, row.tolist()))
+            for var, row in zip(self.dictionary.variables, self.codes)
+        ]
+
+    @cached_property
+    def records(self) -> tuple[Record, ...]:
+        """The rows as ``Record``s whose ``values`` are read-only mappings."""
+        names = self.dictionary.names
+        return tuple(
+            Record(rid, MappingProxyType(dict(zip(names, cells))))
+            for rid, *cells in zip(self.record_ids, *self._category_columns())
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RecordSet):
+            return NotImplemented
+        return (self.dictionary, self.record_ids, self.filter_log) == (
+            other.dictionary,
+            other.record_ids,
+            other.filter_log,
+        ) and np.array_equal(self.codes, other.codes)
 
     def __len__(self) -> int:
-        return len(self.records)
-
-
-class UnknownPolicy(Enum):
-    """How ingest treats values that are not in the dictionary."""
-
-    REJECT = "reject"
-    COERCE = "coerce"
+        return len(self.record_ids)
 
 
 def _open_source(source: str | Path | IO[str]) -> tuple[IO[str], bool]:
     if isinstance(source, (str, Path)):
-        return open(source, encoding="utf-8", newline=""), True
+        return open(source, encoding="utf-8-sig", newline=""), True
     return source, False
 
 
@@ -261,72 +348,95 @@ def ingest(
 ) -> RecordSet:
     """Read a delimited record stream and validate it against the dictionary.
 
-    The stream is UTF-8 CSV with a header row naming a superset of the
-    dictionary variables plus a record-id column (header names are matched
-    after normalization). Missing values become "unknown" when the variable
-    declares that category, otherwise the row is rejected. Out-of-dictionary
-    values are rejected under REJECT and coerced to "unknown" (when present)
-    under COERCE.
+    The stream is UTF-8 CSV (a byte-order mark is skipped) with a header row
+    naming a superset of the dictionary variables plus a record-id column
+    (header names are matched after normalization). Blank lines are skipped,
+    cells are stripped, and a short row's missing cells are blank. Missing
+    values become "unknown" when the variable declares that category,
+    otherwise the row is rejected. Out-of-dictionary values are rejected
+    under REJECT and coerced to "unknown" (when present) under COERCE. An
+    error names the first bad row by its line number.
     """
     fh, owns = _open_source(source)
     try:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise IngestError("empty input: record stream has no header")
-        header_map: dict[str, str] = {}
-        for col in reader.fieldnames:
+        position: dict[str, int] = {}
+        for i, col in enumerate(header):
             norm = normalize_name(col)
-            if norm in header_map:
+            if norm in position:
                 raise IngestError(f"duplicate column {norm!r} in header")
-            header_map[norm] = col
-        missing = [v for v in dictionary.names if v not in header_map]
-        if record_id_column not in header_map:
+            position[norm] = i
+        missing = [v for v in dictionary.names if v not in position]
+        if record_id_column not in position:
             missing.append(record_id_column)
         if missing:
             raise IngestError(f"missing column(s): {', '.join(sorted(missing))}")
 
-        id_col = header_map[record_id_column]
-        coerce = policy is UnknownPolicy.COERCE
-        columns = [
-            (v.name, header_map[v.name], frozenset(v.categories), "unknown" in v.categories)
-            for v in dictionary.variables
-        ]
-        records: list[Record] = []
-        seen_ids: set[str] = set()
+        # Errors name a row by its last line, which blank lines and quoted
+        # newlines set apart from its index.
+        rows: list[list[str]] = []
+        lines: list[int] = []
         for row in reader:
-            line = reader.line_num
-            rid = (row.get(id_col) or "").strip()
-            if not rid:
-                raise IngestError(f"row {line}: empty record id")
-            if rid in seen_ids:
-                raise IngestError(f"row {line}: duplicate record_id {rid!r}")
-            seen_ids.add(rid)
-            values: dict[str, str] = {}
-            for var, column, cats, has_unknown in columns:
-                val = (row.get(column) or "").strip()
-                if not val:
-                    if has_unknown:
-                        val = "unknown"
-                    else:
-                        raise IngestError(
-                            f"row {line}: missing value for {var!r} and the variable "
-                            f"declares no 'unknown' category"
-                        )
-                elif val not in cats:
-                    if coerce and has_unknown:
-                        val = "unknown"
-                    else:
-                        raise IngestError(
-                            f"row {line}: value {val!r} is not a category of {var!r}"
-                        )
-                values[var] = val
-            records.append(Record(record_id=rid, values=values))
-        if not records:
-            raise IngestError("empty input: record stream has no data rows")
-        return RecordSet(dictionary=dictionary, records=tuple(records))
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
     finally:
         if owns:
             fh.close()
+    if not rows:
+        raise IngestError("empty input: record stream has no data rows")
+    if min(map(len, rows)) < len(header):
+        rows = [row + [""] * (len(header) - len(row)) for row in rows]
+
+    def column(name: str) -> list[str]:
+        return list(map(str.strip, map(itemgetter(position[name]), rows)))
+
+    record_ids = column(record_id_column)
+    codes = _empty_codes(dictionary, len(rows))
+    try:
+        for row, var in zip(codes, dictionary.variables):
+            row[:] = _category_codes(var, column(var.name), row.dtype, policy)
+    except KeyError:
+        accepted = False
+    else:
+        accepted = all(record_ids) and len(set(record_ids)) == len(record_ids)
+    if not accepted:
+        columns = [(var, position[var.name]) for var in dictionary.variables]
+        raise _first_bad_row(rows, lines, position[record_id_column], columns, policy)
+    return RecordSet._of_codes(dictionary, tuple(record_ids), codes)
+
+
+def _first_bad_row(
+    rows: Sequence[list[str]],
+    lines: Sequence[int],
+    id_column: int,
+    columns: Sequence[tuple[VariableSchema, int]],
+    policy: UnknownPolicy,
+) -> IngestError:
+    """The error for the first row, in row order, that ingest cannot accept."""
+    coerce = policy is UnknownPolicy.COERCE
+    seen_ids: set[str] = set()
+    for row, line in zip(rows, lines):
+        rid = row[id_column].strip()
+        if not rid:
+            return IngestError(f"row {line}: empty record id")
+        if rid in seen_ids:
+            return IngestError(f"row {line}: duplicate record_id {rid!r}")
+        seen_ids.add(rid)
+        for var, col in columns:
+            val = row[col].strip()
+            has_unknown = "unknown" in var.categories
+            if not val and not has_unknown:
+                return IngestError(
+                    f"row {line}: missing value for {var.name!r} and the variable "
+                    f"declares no 'unknown' category"
+                )
+            if val and val not in var.categories and not (coerce and has_unknown):
+                return IngestError(f"row {line}: value {val!r} is not a category of {var.name!r}")
+    raise AssertionError("ingest rejected rows that each encode")
 
 
 def write_records(
@@ -340,8 +450,7 @@ def write_records(
     with open(sink, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([record_id_column, *rs.dictionary.names])
-        for rec in rs.records:
-            writer.writerow([rec.record_id, *(rec.values[v] for v in rs.dictionary.names)])
+        writer.writerows(zip(rs.record_ids, *rs._category_columns()))
     return sink
 
 
@@ -363,6 +472,8 @@ def load_filter_steps(source: str | Path | Sequence) -> tuple[FilterStep, ...]:
             doc = json.load(fh)
     else:
         doc = source
+    if not isinstance(doc, (list, tuple)):
+        raise ValidationError(f"'filter_steps' must be an array of steps, got {doc!r}")
     steps = []
     for entry in doc:
         if not isinstance(entry, Mapping) or "variable" not in entry or "keep" not in entry:
@@ -383,19 +494,18 @@ def filter_records(rs: RecordSet, steps: Sequence[FilterStep]) -> RecordSet:
     keep = np.ones(len(rs), dtype=bool)
     log = list(rs.filter_log)
     for step in steps:
-        cats = rs.dictionary.variable(step.variable).categories
-        unknown = sorted(step.keep.difference(cats))
-        if unknown:
+        var = rs.dictionary.variable(step.variable)
+        try:
+            kept_codes = _category_codes(var, sorted(step.keep))
+        except KeyError as exc:
             raise ValidationError(
-                f"filter step on {step.variable!r} names unknown category {unknown[0]!r}"
-            )
+                f"filter step on {step.variable!r} names unknown category {exc.args[0]!r}"
+            ) from None
         before = int(keep.sum())
-        row = rs.codes[rs.dictionary.variable_index(step.variable)]
-        keep &= np.isin(row, [cats.index(cat) for cat in step.keep])
+        keep &= np.isin(rs.codes[rs.dictionary.variable_index(step.variable)], kept_codes)
         log.append(FilterLogEntry(step.describe(), before, int(keep.sum())))
-    return RecordSet(
-        dictionary=rs.dictionary, records=tuple(compress(rs.records, keep)), filter_log=tuple(log)
-    )
+    record_ids = tuple(compress(rs.record_ids, keep.tolist()))
+    return RecordSet._of_codes(rs.dictionary, record_ids, rs.codes[:, keep], tuple(log))
 
 
 @dataclass(frozen=True)

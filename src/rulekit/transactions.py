@@ -101,7 +101,7 @@ def encode(rs: RecordSet, selected_vars: Sequence[str], full_universe: bool = Fa
     """
     if not selected_vars:
         raise ValidationError("empty selection: at least one variable is required")
-    if not rs.records:
+    if not len(rs):
         raise ValidationError("cannot encode an empty RecordSet")
     items: list[Item] = []
     membership: list[np.ndarray] = []

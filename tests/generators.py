@@ -59,7 +59,14 @@ def make_records(
 
 
 def random_record_set(rng: random.Random, max_items: int = 12, max_transactions: int = 64) -> RecordSet:
-    """Random categorical records; the occurring-item universe stays small.
+    """Random categorical records; the occurring-item universe stays small."""
+    return make_records(*random_rows(rng, max_items, max_transactions))
+
+
+def random_rows(
+    rng: random.Random, max_items: int = 12, max_transactions: int = 64
+) -> tuple[DataDictionary, list[dict[str, str]]]:
+    """A random dictionary and the rows ``random_record_set`` builds from it.
 
     Between 2 and 4 variables with 2 to 4 categories each, capped so the
     total number of declared categories never exceeds max_items.
@@ -78,7 +85,7 @@ def random_record_set(rng: random.Random, max_items: int = 12, max_transactions:
     assignments = [
         {var: rng.choice(cats) for var, cats in spec.items()} for _ in range(n)
     ]
-    return make_records(dictionary, assignments)
+    return dictionary, assignments
 
 
 def two_item_records(
@@ -388,12 +395,14 @@ def oracle_best_partition(
 # over flat arrays; these are the definitions it must reproduce bit for bit.
 
 
-def reference_encode(rs: RecordSet, variables: Sequence[str]) -> np.ndarray:
-    """(n_records, n_variables) int64 category-index matrix."""
+def reference_encode(
+    dictionary: DataDictionary, rows: Sequence[Mapping[str, str]], variables: Sequence[str]
+) -> np.ndarray:
+    """(n_rows, n_variables) int64 category-index matrix of the given rows."""
     cols = []
     for name in variables:
-        index = {c: i for i, c in enumerate(rs.dictionary.variable(name).categories)}
-        cols.append([index[r.values[name]] for r in rs.records])
+        index = {c: i for i, c in enumerate(dictionary.variable(name).categories)}
+        cols.append([index[row[name]] for row in rows])
     return np.array(cols, dtype=np.int64).transpose().copy()
 
 
@@ -485,8 +494,9 @@ def reference_train(
     rs: RecordSet, response: str, features: Sequence[str], cfg: ForestConfig
 ) -> list[tuple[tuple[TreeNode, ...], np.ndarray]]:
     """(nodes, in_bag) per tree, each tree on its own (seed, 0, index) stream."""
-    X = reference_encode(rs, features)
-    y = reference_encode(rs, (response,))[:, 0]
+    rows = [rec.values for rec in rs.records]
+    X = reference_encode(rs.dictionary, rows, features)
+    y = reference_encode(rs.dictionary, rows, (response,))[:, 0]
     n_cats = np.array(
         [len(rs.dictionary.variable(v).categories) for v in features], dtype=np.int64
     )
@@ -527,8 +537,9 @@ def reference_tree_predict(
 
 
 def _forest_arrays(forest: Forest, rs: RecordSet):
-    X = reference_encode(rs, forest.features)
-    y = reference_encode(rs, (forest.response_variable,))[:, 0]
+    rows = [rec.values for rec in rs.records]
+    X = reference_encode(rs.dictionary, rows, forest.features)
+    y = reference_encode(rs.dictionary, rows, (forest.response_variable,))[:, 0]
     n_cats = np.array(
         [len(forest.dictionary.variable(v).categories) for v in forest.features],
         dtype=np.int64,

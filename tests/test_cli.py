@@ -214,6 +214,26 @@ class TestConfigErrors:
         assert main(["describe", "--config", str(cfg)]) == 2
         assert needle in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mutate,key",
+        [
+            (lambda c: c.update({"filter_steps": 5}), "filter_steps"),
+            (lambda c: c["forest"].update({"n_trees": "abc"}), "n_trees"),
+            (lambda c: c["forest"].update({"n_trees": 2.7}), "n_trees"),
+            (lambda c: c["forest"].update({"max_depth": True}), "max_depth"),
+            (lambda c: c.update({"top_k_features": "x"}), "top_k_features"),
+            (lambda c: c.update({"seed": "x"}), "seed"),
+            (lambda c: c["cases"][0].update({"min_confidence": "hi"}), "min_confidence"),
+            (lambda c: c["cases"][0].update({"top_k": None}), "top_k"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, mutate, key):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        mutate(config)
+        cfg = write_workspace(tmp_path, config)
+        assert main(["describe", "--config", str(cfg)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
     def test_out_dir_that_is_a_file(self, tmp_path, capsys):
         cfg = write_workspace(tmp_path)
         (tmp_path / "blocked").write_text("")

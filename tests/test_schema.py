@@ -13,6 +13,7 @@ from generators import (
     make_dictionary,
     make_records,
     random_record_set,
+    random_rows,
     reference_cross_tabulate,
     reference_encode,
 )
@@ -32,6 +33,7 @@ from rulekit.schema import (
     normalize_name,
     write_records,
 )
+from rulekit.transactions import encode
 
 
 def test_normalize_name_collapses_whitespace_and_case():
@@ -209,6 +211,74 @@ class TestIngest:
                 weather_dict,
             )
 
+    def test_blank_lines_are_skipped_but_counted(self, weather_dict):
+        text = "crash_number,weather,road\n\n1,clear,dry\n\n2,rain,wet\n\n"
+        rs = ingest(_csv(text), weather_dict)
+        assert [r.record_id for r in rs.records] == ["1", "2"]
+        with pytest.raises(IngestError, match=r"^row 5: value 'sleet'"):
+            ingest(_csv(text.replace("rain", "sleet")), weather_dict)
+
+    def test_short_row_cells_are_missing_values(self):
+        d = make_dictionary({"road": ("dry", "wet"), "weather": ("clear", "unknown")})
+        rs = ingest(_csv("crash_number,road,weather\n1,dry\n"), d)
+        assert rs.records[0].values == {"road": "dry", "weather": "unknown"}
+        with pytest.raises(IngestError, match=r"^row 2: missing value for 'road'"):
+            ingest(_csv("crash_number,road,weather\n1\n"), d)
+
+    def test_long_row_extra_cells_are_ignored(self, weather_dict):
+        rs = ingest(_csv("crash_number,weather,road\n1,clear,dry,gravel,9\n"), weather_dict)
+        assert rs.records[0].values == {"weather": "clear", "road": "dry"}
+
+    def test_cells_are_stripped(self, weather_dict):
+        rs = ingest(_csv("crash_number,weather,road\n 7 , rain ,\twet \n"), weather_dict)
+        assert rs.records[0].record_id == "7"
+        assert rs.records[0].values == {"weather": "rain", "road": "wet"}
+
+    def test_empty_cell_under_coerce_becomes_unknown(self, weather_dict):
+        rs = ingest(
+            _csv("crash_number,weather,road\n1,,dry\n2,sleet,wet\n"),
+            weather_dict,
+            policy=UnknownPolicy.COERCE,
+        )
+        assert [r.values["weather"] for r in rs.records] == ["unknown", "unknown"]
+        with pytest.raises(IngestError, match=r"^row 2: missing value for 'road'"):
+            ingest(
+                _csv("crash_number,weather,road\n1,clear,\n"),
+                weather_dict,
+                policy=UnknownPolicy.COERCE,
+            )
+
+    def test_row_number_is_the_line_number_past_quoted_newlines(self, weather_dict):
+        header = "crash_number,weather,road,notes\n"
+        rs = ingest(_csv(header + '1,clear,dry,"two\nlines"\n2,rain,wet,x\n'), weather_dict)
+        assert [r.record_id for r in rs.records] == ["1", "2"]
+        with pytest.raises(IngestError, match=r"^row 4: value 'sleet'"):
+            ingest(_csv(header + '1,clear,dry,"two\nlines"\n2,sleet,wet,x\n'), weather_dict)
+        with pytest.raises(IngestError, match=r"^row 3: value 'sleet'"):
+            ingest(_csv(header + '1,sleet,dry,"two\nlines"\n'), weather_dict)
+
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            ("1,clear,gravel\n2,sleet,dry\n", "row 2: value 'gravel' is not a category of 'road'"),
+            ("1,clear,gravel\n1,clear,dry\n", "row 2: value 'gravel'"),
+            ("1,clear,dry\n1,sleet,dry\n", "row 3: duplicate record_id '1'"),
+            ("1,clear,dry\n,sleet,dry\n", "row 3: empty record id"),
+            ("1,clear,dry\n2,sleet,\n", "row 3: value 'sleet'"),
+            ("1,clear,dry\n2,clear,\n3,sleet,dry\n", "row 3: missing value for 'road'"),
+        ],
+    )
+    def test_first_bad_row_is_reported_not_first_bad_column(self, weather_dict, rows, message):
+        with pytest.raises(IngestError) as info:
+            ingest(_csv("crash_number,weather,road\n" + rows), weather_dict)
+        assert str(info.value).startswith(message)
+
+    def test_utf8_bom_before_header_is_ignored(self, tmp_path, weather_dict):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("crash_number,weather,road\n1,clear,dry\n".encode("utf-8-sig"))
+        rs = ingest(path, weather_dict)
+        assert rs.records[0].record_id == "1"
+
 
 def test_write_records_round_trip(tmp_path, weather_dict):
     rs = make_records(
@@ -244,6 +314,22 @@ class TestRecordSetValidation:
                 dictionary=weather_dict,
                 records=(Record("1", {"weather": "clear", "road": "gravel"}),),
             )
+
+    def test_record_views_are_read_only(self, weather_dict):
+        rs = make_records(weather_dict, [{"weather": "clear", "road": "dry"}])
+        with pytest.raises(TypeError):
+            rs.records[0].values["weather"] = "rain"
+        assert rs.records[0].values["weather"] == "clear"
+        assert rs.codes[0].tolist() == [0]
+
+    def test_ingest_filter_encode_leave_the_record_views_unbuilt(self, weather_dict):
+        rs = ingest(_csv("crash_number,weather,road\n1,clear,dry\n2,rain,wet\n"), weather_dict)
+        out = filter_records(rs, (FilterStep("road", frozenset({"wet"})),))
+        ts = encode(out, ("weather", "road"))
+        assert ts.n_transactions == 1
+        assert "records" not in vars(rs) and "records" not in vars(out)
+        assert out.record_ids == ("2",)
+        assert out.records[0].values == {"weather": "rain", "road": "wet"}
 
 
 class TestFilter:
@@ -345,9 +431,11 @@ class TestCodes:
     @given(st.integers(0, 2**32 - 1))
     def test_codes_match_reference_and_feed_filter_and_crosstab(self, seed):
         rng = random.Random(seed)
-        rs = random_record_set(rng)
-        names = rs.dictionary.names
-        assert np.array_equal(rs.codes, reference_encode(rs, names).T)
+        dictionary, rows = random_rows(rng)
+        rs = make_records(dictionary, rows)
+        names = dictionary.names
+        assert np.array_equal(rs.codes, reference_encode(dictionary, rows, names).T)
+        assert [dict(rec.values) for rec in rs.records] == rows
         assert rs.codes.dtype == np.uint8
         assert not rs.codes.flags.writeable
         with pytest.raises(ValueError):
@@ -357,9 +445,10 @@ class TestCodes:
         cats = rs.dictionary.variable(var).categories
         keep = frozenset(rng.sample(cats, rng.randint(0, len(cats))))
         out = filter_records(rs, (FilterStep(var, keep),))
-        kept = [i for i, rec in enumerate(rs.records) if rec.values[var] in keep]
+        kept = [i for i, row in enumerate(rows) if row[var] in keep]
         assert out.codes.shape == (len(names), len(kept))
-        assert np.array_equal(out.codes, rs.codes[:, kept])
+        assert np.array_equal(out.codes, reference_encode(dictionary, rows, names)[kept].T)
+        assert [rec.record_id for rec in out.records] == [f"r{i}" for i in kept]
 
         row_var, col_var = rng.choice(names), rng.choice(names)
         assert cross_tabulate(rs, row_var, col_var) == reference_cross_tabulate(
