@@ -10,7 +10,7 @@ A candidate's support is the popcount of the AND of its items' bitmaps in
 the item-major transaction set. A level is extended a chunk of rows at a
 time (join, prune and count together), so the buffers stay bounded however
 many candidates a level has. Output is independent of transaction order and
-of the chunk size; the ``threads`` argument is accepted and has no effect.
+of the chunk size.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def _extend(
 
 
 def _next_level(
-    ts: TransactionSet, level: np.ndarray, variable: np.ndarray, threshold: int, threads: int
+    ts: TransactionSet, level: np.ndarray, variable: np.ndarray, threshold: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The frequent (k + 1)-itemsets and their counts, from a sorted level of
     frequent k-itemsets, extended one chunk of rows at a time."""
@@ -241,19 +241,14 @@ def _next_level(
     cuts = np.arange(chunk_pairs, pairs_before[-1] + 1, chunk_pairs)
     bounds = [0, *np.unique(np.searchsorted(pairs_before, cuts)).tolist(), m]
     extend = partial(_extend, level, _row_keys(level), partners, variable, ts.bitmaps, threshold)
-    parts = run_ordered(extend, [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])], threads)
+    parts = run_ordered(extend, [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
     return (
         np.concatenate([rows for rows, _ in parts]),
         np.concatenate([counts for _, counts in parts]),
     )
 
 
-def mine_frequent(
-    ts: TransactionSet,
-    min_support: SupportSpec,
-    max_len: int,
-    threads: int = 1,
-) -> FrequentItemsets:
+def mine_frequent(ts: TransactionSet, min_support: SupportSpec, max_len: int) -> FrequentItemsets:
     """Mine all frequent itemsets of size <= max_len."""
     if max_len < 1:
         raise ValidationError(f"max_len must be >= 1, got {max_len}")
@@ -291,7 +286,7 @@ def mine_frequent(
         by_level[k] = tuple(zip(zip(*level.T.tolist()), counts.tolist()))
         if k == max_len:
             break
-        level, counts = _next_level(ts, level, variable, threshold, threads)
+        level, counts = _next_level(ts, level, variable, threshold)
         k += 1
     return FrequentItemsets(
         by_level=by_level,

@@ -6,7 +6,7 @@ Exit codes: 0 on success, 2 for configuration or validation problems, 1 for
 runtime and I/O failures. Error messages on stderr name the failing stage.
 
 ``--threads`` (or RULEKIT_THREADS) is still parsed and checked, a value
-below 1 exiting 2, but has no effect: every stage runs on one thread.
+below 1 exiting 2, but nothing reads it: every stage runs on one thread.
 """
 
 from __future__ import annotations
@@ -164,14 +164,19 @@ def _parse_case(entry: object, index: int) -> MiningCase:
     )
 
 
-def _optional_names(raw: Mapping, key: str) -> tuple[str, ...] | None:
-    """An optional array of variable names; a bare string or number is refused."""
-    value = raw.get(key)
-    if value is None:
-        return None
+def _names(value: object, what: str) -> tuple[str, ...]:
+    """An array of distinct variable names; a bare string or number is refused."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValidationError(f"{key!r} must be an array of strings")
+        raise ValidationError(f"{what} must be an array of strings")
+    repeated = sorted({v for v in value if value.count(v) > 1})
+    if repeated:
+        raise ValidationError(f"{what} repeats {', '.join(map(repr, repeated))}")
     return tuple(value)
+
+
+def _optional_names(raw: Mapping, key: str) -> tuple[str, ...] | None:
+    value = raw.get(key)
+    return None if value is None else _names(value, repr(key))
 
 
 def load_config(
@@ -253,6 +258,9 @@ def load_config(
     top_k_features = _number(raw, "top_k_features", 10)
     if top_k_features < 1:
         raise ValidationError("top_k_features must be >= 1")
+    full_universe = raw.get("full_universe", False)
+    if not isinstance(full_universe, bool):  # the string "false" would read as true
+        raise ValidationError(f"'full_universe' must be true or false, got {full_universe!r}")
 
     return RunConfig(
         dictionary_path=dictionary_path,
@@ -270,7 +278,7 @@ def load_config(
         ),
         seed=global_seed,
         crosstab_rows=crosstab_rows,
-        full_universe=bool(raw.get("full_universe", False)),
+        full_universe=full_universe,
     )
 
 
@@ -375,15 +383,15 @@ def _describe(cfg: RunConfig, rs: RecordSet, bundle: ReportBundle, out: Path) ->
 
 
 def _select_vars(
-    cfg: RunConfig, rs: RecordSet, bundle: ReportBundle, out: Path, threads: int
+    cfg: RunConfig, rs: RecordSet, bundle: ReportBundle, out: Path
 ) -> tuple[str, ...]:
     with _stage("select-vars"):
         if cfg.features is not None:
             features = cfg.features
         else:
             features = tuple(v for v in rs.dictionary.names if v != cfg.response)
-        forest = train(rs, cfg.response, features, cfg.forest, threads=threads)
-        report = mda_importance(forest, rs, seed=cfg.forest.seed, threads=threads)
+        forest = train(rs, cfg.response, features, cfg.forest)
+        report = mda_importance(forest, rs, seed=cfg.forest.seed)
         logger.info(
             "forest OOB accuracy %.4f over %d features",
             report.oob_accuracy,
@@ -412,7 +420,6 @@ def _mine(
     rs: RecordSet,
     bundle: ReportBundle,
     out: Path,
-    threads: int,
     features: tuple[str, ...] | None = None,
 ) -> None:
     with _stage("mine"):
@@ -423,8 +430,7 @@ def _mine(
             if cfg.features is not None:
                 features = cfg.features
             elif selected_file.exists():
-                doc = json.loads(selected_file.read_text(encoding="utf-8"))
-                features = tuple(str(v) for v in doc.get("selected", []))
+                features = _read_selection(selected_file)
                 logger.info("mining variables taken from %s", selected_file)
             else:
                 raise ValidationError(
@@ -449,11 +455,9 @@ def _mine(
         )
         bundle.add(*emit_item_freq_chart(item_frequencies(ts), out / "item_frequency.svg"))
         for case in cfg.cases:
-            result = run_case(ts, case, threads=threads)
+            result = run_case(ts, case)
             stem = _safe_name(case.name)
-            bundle.add(
-                *emit_rule_table(result, out / f"case_{stem}_rules.csv", allow_empty=True)
-            )
+            bundle.add(*emit_rule_table(result, out / f"case_{stem}_rules.csv"))
             export_case_csv(result, out / f"case_{stem}_rules_full.csv")
             export_case_metadata(result, out / f"case_{stem}_meta.json")
             if result.rules:
@@ -464,12 +468,23 @@ def _mine(
                 logger.warning("case %r yielded no rules; scatter skipped", case.name)
 
 
+def _read_selection(path: Path) -> tuple[str, ...]:
+    """The ``selected`` names of a select-vars output file."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path} must hold a JSON object")
+    return _names(doc.get("selected"), f"'selected' in {path}")
+
+
 def _write_manifest(bundle: ReportBundle, out: Path) -> None:
     with _stage("report"):
         bundle.write_manifest(out / "manifest.json")
 
 
-def cmd_describe(cfg: RunConfig, threads: int = 1) -> int:
+def cmd_describe(cfg: RunConfig) -> int:
     out = _ensure_out(cfg)
     bundle = _bundle(cfg)
     rs = _prepare(cfg)
@@ -478,32 +493,32 @@ def cmd_describe(cfg: RunConfig, threads: int = 1) -> int:
     return 0
 
 
-def cmd_select_vars(cfg: RunConfig, threads: int = 1) -> int:
+def cmd_select_vars(cfg: RunConfig) -> int:
     out = _ensure_out(cfg)
     bundle = _bundle(cfg)
     rs = _prepare(cfg)
-    _select_vars(cfg, rs, bundle, out, threads)
+    _select_vars(cfg, rs, bundle, out)
     _write_manifest(bundle, out)
     return 0
 
 
-def cmd_mine(cfg: RunConfig, threads: int = 1) -> int:
+def cmd_mine(cfg: RunConfig) -> int:
     out = _ensure_out(cfg)
     bundle = _bundle(cfg)
     rs = _prepare(cfg)
-    _mine(cfg, rs, bundle, out, threads)
+    _mine(cfg, rs, bundle, out)
     _write_manifest(bundle, out)
     return 0
 
 
-def cmd_pipeline(cfg: RunConfig, threads: int = 1) -> int:
+def cmd_pipeline(cfg: RunConfig) -> int:
     """describe, select-vars, and mine over a single ingest, one manifest."""
     out = _ensure_out(cfg)
     bundle = _bundle(cfg)
     rs = _prepare(cfg)
     _describe(cfg, rs, bundle, out)
-    selected = _select_vars(cfg, rs, bundle, out, threads)
-    _mine(cfg, rs, bundle, out, threads, features=selected)
+    selected = _select_vars(cfg, rs, bundle, out)
+    _mine(cfg, rs, bundle, out, features=selected)
     _write_manifest(bundle, out)
     return 0
 
@@ -517,6 +532,7 @@ _COMMANDS = {
 
 
 def _resolve_threads(value: int | None) -> int:
+    """The ``--threads`` value, else RULEKIT_THREADS, else 1; below 1 is refused."""
     if value is None:
         env = os.environ.get("RULEKIT_THREADS", "").strip()
         if env:
@@ -556,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help="accepted for compatibility (default: RULEKIT_THREADS or 1); has no effect",
+            help="accepted and checked (default: RULEKIT_THREADS or 1); has no effect",
         )
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("-v", "--verbose", action="store_true", help="debug logging")
@@ -572,9 +588,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         with _stage("config"):
-            threads = _resolve_threads(args.threads)
+            _resolve_threads(args.threads)
             cfg = load_config(args.config, out_dir=args.out, seed=args.seed)
-        return _COMMANDS[args.command](cfg, threads=threads)
+        return _COMMANDS[args.command](cfg)
     except CliFailure as failure:
         print(
             f"rulekit: {args.command} failed in stage '{failure.stage}': {failure}",

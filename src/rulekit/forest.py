@@ -18,7 +18,7 @@ counts the (category, class) tables of all their candidate features with
 bincount, scores every category partition of every table at once and
 splits. Blocks hold up to _BLOCK_ROWS bootstrap rows, so the block
 partition depends only on the record and tree counts. Blocks run one after
-another; the ``threads`` arguments are accepted and have no effect.
+another.
 
 Determinism. Each tree draws from its own RNG stream keyed by (seed,
 purpose, tree index). Lockstep growth still visits each tree's nodes in the
@@ -180,46 +180,29 @@ def best_partition(
     counts is the (category x class) contingency of the node's in-bag
     records. Returns (impurity decrease, category indices routed left), or
     None when no partition with both children >= min_node_size improves on
-    the parent. With m present categories the 2^(m-1) - 1 unordered
-    partitions are scored exactly for m <= 12; beyond that a forward greedy
-    pass moves one category at a time and keeps the best valid split seen.
+    the parent. This is _score_partitions on a single table.
+    """
+    value, left_mask = _score_partitions(np.asarray(counts)[None], min_node_size)
+    if value[0] == -np.inf:
+        return None
+    return float(value[0]), frozenset(np.flatnonzero(left_mask[0]).tolist())
+
+
+def _greedy_partition(
+    counts: np.ndarray, min_node_size: int
+) -> tuple[float, frozenset[int]] | None:
+    """A good partition of one table with more than 12 present categories.
+
+    A forward greedy pass grows the left side one category at a time, always
+    taking the locally best addition, and keeps the best valid split seen.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    totals = counts.sum(axis=1)
-    present = np.flatnonzero(totals > 0)
-    if len(present) < 2:
-        return None
+    present = np.flatnonzero(counts.sum(axis=1) > 0)
     cp = counts[present]
     class_totals = cp.sum(axis=0)
     n_t = float(class_totals.sum())
     parent_gini = 1.0 - float((class_totals**2).sum()) / (n_t * n_t)
     m = len(present)
-
-    if m <= _EXHAUSTIVE_MAX_CATEGORIES:
-        # Fix the last present category on the right so each unordered
-        # partition is enumerated exactly once.
-        masks = np.arange(1, 1 << (m - 1), dtype=np.uint32)
-        bits = ((masks[:, None] >> np.arange(m - 1)) & 1).astype(np.float64)
-        left = bits @ cp[:-1]
-        right = class_totals - left
-        nl = left.sum(axis=1)
-        nr = n_t - nl
-        with np.errstate(divide="ignore", invalid="ignore"):
-            child = (
-                nl - (left**2).sum(axis=1) / nl + nr - (right**2).sum(axis=1) / nr
-            ) / n_t
-        decrease = parent_gini - child
-        valid = (nl >= min_node_size) & (nr >= min_node_size)
-        decrease = np.where(valid, decrease, -np.inf)
-        best = int(np.argmax(decrease))  # first index wins ties
-        if decrease[best] <= 0.0:
-            return None
-        chosen = bits[best].astype(bool)
-        left_cats = frozenset(int(c) for c in present[:-1][chosen])
-        return float(decrease[best]), left_cats
-
-    # Greedy path: grow the left side one category at a time, always taking
-    # the locally best addition, and remember the best valid partition.
     in_left = np.zeros(m, dtype=bool)
     left_counts = np.zeros_like(class_totals)
     best_overall: tuple[float, frozenset[int]] | None = None
@@ -271,7 +254,7 @@ def _tree_blocks(n_records: int, n_trees: int, max_rows: int) -> list[range]:
 @cache
 def _partition_bits(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Row p - 1 is partition mask p over the first m - 1 present categories,
-    as bool and as float64; the enumeration order of best_partition."""
+    as bool and as float64; the enumeration order of _score_partitions."""
     masks = np.arange(1, 1 << (m - 1), dtype=np.uint32)
     bits = ((masks[:, None] >> np.arange(m - 1)) & 1).astype(bool)
     as_float = bits.astype(np.float64)
@@ -281,13 +264,17 @@ def _partition_bits(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _score_partitions(cont: np.ndarray, min_node_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """best_partition of every (category x class) table in cont, at once.
+    """The best category partition of every (category x class) table in
+    cont, by Gini decrease, at once.
 
-    Returns each table's best Gini decrease (-inf where best_partition
-    returns None) and a (table, category) mask of the categories it sends
-    left. Sums of counts are exact in float64 in any order, and the Gini
-    arithmetic after them repeats best_partition's operations, so values and
-    tie-breaks are identical; tables that need the greedy search call it.
+    Returns each table's best decrease (-inf where no partition with both
+    children >= min_node_size improves on the parent) and a (table,
+    category) mask of the categories it sends left. A table with m <= 12
+    present categories has its 2^(m-1) - 1 unordered partitions scored
+    exactly, its last present category fixed on the right; the first best
+    partition wins ties. Sums of counts are exact in float64 in any order,
+    so a table scores the same alone or in any batch. A wider table gets
+    _greedy_partition.
     """
     n_tables, width, n_classes = cont.shape
     counts = cont.astype(np.float64)
@@ -295,7 +282,6 @@ def _score_partitions(cont: np.ndarray, min_node_size: int) -> tuple[np.ndarray,
     m = present.sum(axis=1)
     class_totals = counts.sum(axis=1)
     n_t = class_totals.sum(axis=1)
-    parent = 1.0 - (class_totals**2).sum(axis=1) / (n_t * n_t)
     best = np.full(n_tables, -np.inf)
     left_mask = np.zeros((n_tables, width), dtype=bool)
     sel = np.flatnonzero((m >= 2) & (m <= _EXHAUSTIVE_MAX_CATEGORIES))
@@ -303,10 +289,10 @@ def _score_partitions(cont: np.ndarray, min_node_size: int) -> tuple[np.ndarray,
         top = int(m[sel].max())
         bits, bits_float = _partition_bits(top)
         # A table's present categories take positions 0.. in category order;
-        # its last one stays right, as in best_partition, and positions
-        # m - 1 .. top - 2 are empty padding. A partition that sets a padding
-        # bit repeats an earlier one (or leaves the left side empty), so the
-        # first best partition is the one best_partition finds.
+        # its last one stays right, and positions m - 1 .. top - 2 are empty
+        # padding. A partition that sets a padding bit repeats an earlier one
+        # (or leaves the left side empty), so the first best partition is the
+        # table's own, whatever the batch's widest table.
         rank = np.cumsum(present[sel], axis=1) - 1
         movable = present[sel] & (rank < (m[sel] - 1)[:, None])
         g, c = np.nonzero(movable)
@@ -320,9 +306,10 @@ def _score_partitions(cont: np.ndarray, min_node_size: int) -> tuple[np.ndarray,
         nl = left.sum(axis=2)
         nt = n_t[sel][:, None]
         nr = nt - nl
+        parent = 1.0 - (class_totals[sel] ** 2).sum(axis=1, keepdims=True) / (nt * nt)
         with np.errstate(divide="ignore", invalid="ignore"):
             child = (nl - (left**2).sum(axis=2) / nl + nr - (right**2).sum(axis=2) / nr) / nt
-        decrease = parent[sel][:, None] - child
+        decrease = parent - child
         valid = (nl >= min_node_size) & (nr >= min_node_size)
         decrease = np.where(valid, decrease, -np.inf)
         choice = decrease.argmax(axis=1)  # first index wins ties
@@ -334,7 +321,7 @@ def _score_partitions(cont: np.ndarray, min_node_size: int) -> tuple[np.ndarray,
         wide[g, category[g, j]] = True
         left_mask[sel] = wide[:, :width]
     for i in np.flatnonzero(m > _EXHAUSTIVE_MAX_CATEGORIES).tolist():
-        greedy = best_partition(cont[i], min_node_size)
+        greedy = _greedy_partition(cont[i], min_node_size)
         if greedy is not None:
             best[i] = greedy[0]
             left_mask[i, list(greedy[1])] = True
@@ -558,7 +545,6 @@ def train(
     response: str,
     features: Sequence[str],
     cfg: ForestConfig | None = None,
-    threads: int = 1,
 ) -> Forest:
     """Grow a forest of bootstrap trees predicting response from features.
 
@@ -593,7 +579,7 @@ def train(
     def grow(block: range) -> list[tuple[np.ndarray, ...]]:
         return _grow_block(X, y, n_cats, len(class_labels), mtry, cfg, block)
 
-    blocks = run_ordered(grow, _tree_blocks(n, cfg.n_trees, _BLOCK_ROWS), threads=threads)
+    blocks = run_ordered(grow, _tree_blocks(n, cfg.n_trees, _BLOCK_ROWS))
     with _gc_paused():
         trees = tuple(
             DecisionTree(*arrays, nodes=_tree_nodes(*arrays[:7]))
@@ -718,9 +704,7 @@ def oob_predict(forest: Forest, rs: RecordSet) -> OobPrediction:
     return OobPrediction(predictions=predictions, accuracy=accuracy)
 
 
-def mda_importance(
-    forest: Forest, rs: RecordSet, seed: int, threads: int = 1
-) -> ImportanceReport:
+def mda_importance(forest: Forest, rs: RecordSet, seed: int) -> ImportanceReport:
     """Mean Decrease Accuracy per feature, averaged over trees.
 
     For each tree, each feature's column is permuted within the tree's
@@ -773,7 +757,7 @@ def mda_importance(
         return list(accuracy[:, :1] - accuracy[:, 1:])
 
     blocks = _tree_blocks(forest.n_records, len(forest.trees), _CHUNK_ROWS)
-    per_block = run_ordered(block_drops, blocks, threads=threads)
+    per_block = run_ordered(block_drops, blocks)
     included = [drops for block in per_block for drops in block]
     if not included:
         raise ValidationError(

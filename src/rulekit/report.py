@@ -153,19 +153,13 @@ def _hbar_chart(
 # Emitters
 
 
-def emit_rule_table(
-    result: CaseResult, sink: str | Path, allow_empty: bool = False
-) -> tuple[Artifact, ...]:
+def emit_rule_table(result: CaseResult, sink: str | Path) -> tuple[Artifact, ...]:
     """Ranked rules as CSV plus an aligned text table (same basename, .txt).
 
     Columns are ID, antecedents, S (%), C (%), L with support at three
-    decimals and confidence and lift at two.
+    decimals and confidence and lift at two. A case with no rules gets the
+    header-only table.
     """
-    if not result.rules and not allow_empty:
-        raise ValidationError(
-            f"case {result.case.name!r} produced no rules; "
-            "pass allow_empty to emit a header-only table"
-        )
     sink = Path(sink)
     header = ["ID", "antecedents", "S (%)", "C (%)", "L"]
     rows = [

@@ -182,13 +182,9 @@ def _scores(
     return count_xy / np.float64(n), count_xy / count_x.astype(np.float64), lift
 
 
-def generate_rules(
-    freq: FrequentItemsets,
-    ts: TransactionSet,
-    case: MiningCase,
-    allow_empty_antecedent: bool = False,
-) -> RuleTable:
-    """Emit every rule (Z without Y) -> Y from frequent itemsets Z containing Y.
+def generate_rules(freq: FrequentItemsets, ts: TransactionSet, case: MiningCase) -> RuleTable:
+    """Emit every rule (Z without Y) -> Y from frequent itemsets Z of two or
+    more items containing Y.
 
     A rule survives when its joint count meets the case's resolved support
     threshold and confidence and lift clear their minimums (both inclusive).
@@ -214,28 +210,25 @@ def generate_rules(
     # Column j of a level's rows is the consequent and the other columns the
     # antecedent, found in the level below. A rule's position is its
     # itemset's rank in the lattice.
-    levels = [k for k in sorted(freq.levels) if k <= case.max_rule_items]
-    levels = [k for k in levels if k > 1 or allow_empty_antecedent]
+    levels = [k for k in sorted(freq.levels) if 2 <= k <= case.max_rule_items]
     width = max(levels, default=1) - 1
     parts = [(np.empty((0, width), np.int64),) + (np.empty(0, np.int64),) * 4]
     offset = 0
     for k in levels:
         items, counts = freq.levels[k]
         rows = np.flatnonzero(counts >= threshold)
-        below, below_counts = freq.levels.get(k - 1, (items[:0, 1:], counts[:0]))
-        below_keys = _row_keys(below) if k > 1 else None
+        below, below_counts = freq.levels[k - 1]
+        below_keys = _row_keys(below)
         for j in range(k):
             with_y = rows[count_y[items[rows, j]] > 0]
             antecedent = np.delete(items[with_y], j, axis=1)
-            count_x = np.full(len(with_y), n)
-            if k > 1:
-                at, found = _locate(below_keys, antecedent)
-                if not found.all():
-                    raise ValidationError(
-                        "frequent itemsets are missing an antecedent subset; "
-                        "they were mined at a different threshold"
-                    )
-                count_x = below_counts[at]
+            at, found = _locate(below_keys, antecedent)
+            if not found.all():
+                raise ValidationError(
+                    "frequent itemsets are missing an antecedent subset; "
+                    "they were mined at a different threshold"
+                )
+            count_x = below_counts[at]
             padded = np.full((len(with_y), width), -1, np.int64)
             padded[:, : k - 1] = antecedent
             parts.append((padded, items[with_y, j], count_x, counts[with_y], offset + with_y))
@@ -321,18 +314,13 @@ class CaseResult:
         }
 
 
-def run_case(
-    ts: TransactionSet,
-    case: MiningCase,
-    threads: int = 1,
-    allow_empty_antecedent: bool = False,
-) -> CaseResult:
+def run_case(ts: TransactionSet, case: MiningCase) -> CaseResult:
     """Full pipeline for one case: mine, generate, prune, rank."""
     n = ts.n_transactions
     resolved = case.min_support.resolve(n)
     logger.info("case %r: resolved min support count = %d of %d", case.name, resolved, n)
-    freq = mine_frequent(ts, case.min_support, case.max_rule_items, threads=threads)
-    generated = generate_rules(freq, ts, case, allow_empty_antecedent=allow_empty_antecedent)
+    freq = mine_frequent(ts, case.min_support, case.max_rule_items)
+    generated = generate_rules(freq, ts, case)
     pruned = prune_redundant(generated)
     ranked = rank_rules(pruned, case.top_k)
     if not ranked:

@@ -350,12 +350,12 @@ def ingest(
 
     The stream is UTF-8 CSV (a byte-order mark is skipped) with a header row
     naming a superset of the dictionary variables plus a record-id column
-    (header names are matched after normalization). Blank lines are skipped,
-    cells are stripped, and a short row's missing cells are blank. Missing
-    values become "unknown" when the variable declares that category,
-    otherwise the row is rejected. Out-of-dictionary values are rejected
-    under REJECT and coerced to "unknown" (when present) under COERCE. An
-    error names the first bad row by its line number.
+    (header names and record_id_column are matched after normalization).
+    Blank lines are skipped, cells are stripped, and a short row's missing
+    cells are blank. Missing values become "unknown" when the variable
+    declares that category, otherwise the row is rejected. Out-of-dictionary
+    values are rejected under REJECT and coerced to "unknown" (when present)
+    under COERCE. An error names the first bad row by its line number.
     """
     fh, owns = _open_source(source)
     try:
@@ -369,9 +369,8 @@ def ingest(
             if norm in position:
                 raise IngestError(f"duplicate column {norm!r} in header")
             position[norm] = i
-        missing = [v for v in dictionary.names if v not in position]
-        if record_id_column not in position:
-            missing.append(record_id_column)
+        id_column = normalize_name(record_id_column)
+        missing = [v for v in (*dictionary.names, id_column) if v not in position]
         if missing:
             raise IngestError(f"missing column(s): {', '.join(sorted(missing))}")
 
@@ -394,7 +393,7 @@ def ingest(
     def column(name: str) -> list[str]:
         return list(map(str.strip, map(itemgetter(position[name]), rows)))
 
-    record_ids = column(record_id_column)
+    record_ids = column(id_column)
     codes = _empty_codes(dictionary, len(rows))
     try:
         for row, var in zip(codes, dictionary.variables):
@@ -405,7 +404,7 @@ def ingest(
         accepted = all(record_ids) and len(set(record_ids)) == len(record_ids)
     if not accepted:
         columns = [(var, position[var.name]) for var in dictionary.variables]
-        raise _first_bad_row(rows, lines, position[record_id_column], columns, policy)
+        raise _first_bad_row(rows, lines, position[id_column], columns, policy)
     return RecordSet._of_codes(dictionary, tuple(record_ids), codes)
 
 

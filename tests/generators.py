@@ -215,7 +215,6 @@ def oracle_rules(
     min_confidence: float,
     min_lift: float,
     max_rule_items: int,
-    allow_empty_antecedent: bool = False,
 ) -> dict[tuple[frozenset[Item], Item], tuple[int, float, float, float]]:
     """All rules meeting the thresholds, keyed by (antecedent, consequent).
 
@@ -232,13 +231,12 @@ def oracle_rules(
         if count_y == 0:
             continue
         others = [item for item in universe if item != y]
-        min_size = 0 if allow_empty_antecedent else 1
-        for size in range(min_size, max_rule_items):
+        for size in range(1, max_rule_items):
             for combo in itertools.combinations(others, size):
                 count_xy = oracle_support(transactions, (*combo, y))
                 if count_xy < min_count:
                     continue
-                count_x = oracle_support(transactions, combo) if combo else n
+                count_x = oracle_support(transactions, combo)
                 support = count_xy / n
                 confidence = count_xy / count_x
                 lift = (count_xy * n) / (count_x * count_y)
@@ -307,7 +305,6 @@ def reference_generate_rules(
     freq: FrequentItemsets,
     ts: TransactionSet,
     case: MiningCase,
-    allow_empty_antecedent: bool = False,
 ) -> list[Rule]:
     """Rule generation by its per-consequent definition.
 
@@ -332,9 +329,9 @@ def reference_generate_rules(
                 if y not in itemset:
                     continue
                 antecedent = tuple(i for i in itemset if i != y)
-                if (not antecedent and not allow_empty_antecedent) or count_xy < threshold:
+                if not antecedent or count_xy < threshold:
                     continue
-                count_x = freq.support(antecedent) if antecedent else n
+                count_x = freq.support(antecedent)
                 s, c, lift = score(n, count_x, count_y, count_xy)
                 if c >= case.min_confidence and lift >= case.min_lift:
                     rules.append(Rule(None, antecedent, y, count_xy, s, c, lift))
@@ -393,6 +390,8 @@ def oracle_best_partition(
 # Per-node forest references: tree growth, prediction and MDA one node, one
 # tree and one permutation at a time. The library grows trees in lockstep
 # over flat arrays; these are the definitions it must reproduce bit for bit.
+# They score a node's tables with the library's best_partition, which
+# tests/test_forest.py checks against oracle_best_partition above.
 
 
 def reference_encode(

@@ -166,14 +166,6 @@ def test_matches_oracle_on_random_fixtures(seed, min_count, max_len):
     assert got == want
 
 
-def test_thread_count_does_not_change_result():
-    rs = random_record_set(random.Random(7))
-    ts = encode(rs, list(rs.dictionary.names))
-    lone = mine_frequent(ts, SupportSpec.of_count(2), 4, threads=1)
-    pooled = mine_frequent(ts, SupportSpec.of_count(2), 4, threads=4)
-    assert lone.by_level == pooled.by_level
-
-
 def test_levels_are_sorted_lexicographically(tiny_ts):
     freq = mine_frequent(tiny_ts, SupportSpec.of_count(1), max_len=3)
     for level, entries in freq.by_level.items():

@@ -205,6 +205,14 @@ class TestConfigErrors:
                 lambda c: c.update({"crosstab_rows": 5}),
                 "'crosstab_rows' must be an array of strings",
             ),
+            (
+                lambda c: c.update({"features": ["weather", "weather", "severity"]}),
+                "'features' repeats 'weather'",
+            ),
+            (
+                lambda c: c.update({"crosstab_rows": ["weather", "road", "weather"]}),
+                "'crosstab_rows' repeats 'weather'",
+            ),
         ],
     )
     def test_rejected_configs_exit_2(self, tmp_path, capsys, mutate, needle):
@@ -225,6 +233,8 @@ class TestConfigErrors:
             (lambda c: c.update({"seed": "x"}), "seed"),
             (lambda c: c["cases"][0].update({"min_confidence": "hi"}), "min_confidence"),
             (lambda c: c["cases"][0].update({"top_k": None}), "top_k"),
+            (lambda c: c.update({"full_universe": "false"}), "full_universe"),
+            (lambda c: c.update({"full_universe": 1}), "full_universe"),
         ],
     )
     def test_config_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, mutate, key):
@@ -292,6 +302,20 @@ class TestMine:
         meta = json.loads((out / "case_wet_roads_meta.json").read_text())
         assert meta["case"]["name"] == "wet roads"
         assert meta["rules_after_pruning"] >= 1
+
+    @pytest.mark.parametrize(
+        "content",
+        ["[1, 2]", "{not json", '{"selected": "weather"}', '{"selected": ["weather", 3]}'],
+        ids=["array", "invalid-json", "string-selection", "non-string-name"],
+    )
+    def test_malformed_selection_file_exits_2(self, tmp_path, capsys, content):
+        cfg = write_workspace(tmp_path)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "selected_variables.json").write_text(content)
+        assert main(["mine", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "failed in stage 'mine'" in err
+        assert "selected_variables.json" in err
 
     def test_explicit_features_skip_selection(self, tmp_path):
         config = dict(BASE_CONFIG)

@@ -56,15 +56,39 @@ class TestForestConfig:
         assert cfg.max_depth is None
 
 
+def _random_table(rng: random.Random, n_cats: int) -> list[list[int]]:
+    """A (category x class) count table; about a quarter of the rows are
+    empty categories."""
+    n_classes = rng.randint(2, 3)
+    return [
+        [0] * n_classes if rng.random() < 0.25
+        else [rng.randint(0, 6) for _ in range(n_classes)]
+        for _ in range(n_cats)
+    ]
+
+
+def _decrease(counts: list[list[int]], left: frozenset[int]) -> float:
+    """Gini decrease of sending the categories in left to the left child."""
+    n_classes = len(counts[0])
+    totals = [sum(row[k] for row in counts) for k in range(n_classes)]
+    n_t = sum(totals)
+    parent = 1.0 - sum(t * t for t in totals) / (n_t * n_t)
+    lcounts = [sum(counts[i][k] for i in left) for k in range(n_classes)]
+    nl = sum(lcounts)
+    nr = n_t - nl
+    rcounts = [t - l for t, l in zip(totals, lcounts)]
+    child = (
+        nl - sum(v * v for v in lcounts) / nl
+        + nr - sum(v * v for v in rcounts) / nr
+    ) / n_t
+    return parent - child
+
+
 class TestBestPartition:
     def test_matches_exhaustive_oracle(self):
         rng = random.Random(20260815)
         for _ in range(300):
-            n_cats = rng.randint(2, 5)
-            n_classes = rng.randint(2, 3)
-            counts = [
-                [rng.randint(0, 6) for _ in range(n_classes)] for _ in range(n_cats)
-            ]
+            counts = _random_table(rng, rng.randint(2, 12))
             min_node = rng.choice((1, 1, 2))
             got = best_partition(np.array(counts), min_node)
             want = oracle_best_partition(counts, min_node)
@@ -74,21 +98,35 @@ class TestBestPartition:
             assert got is not None
             assert got[0] == pytest.approx(want[0], abs=1e-12)
             # the returned subset must itself achieve the optimal decrease
-            left = got[1]
-            n_classes_ = len(counts[0])
-            present = [i for i, row in enumerate(counts) if sum(row) > 0]
-            totals = [sum(counts[i][k] for i in present) for k in range(n_classes_)]
-            n_t = sum(totals)
-            parent = 1.0 - sum(t * t for t in totals) / (n_t * n_t)
-            lcounts = [sum(counts[i][k] for i in left) for k in range(n_classes_)]
-            nl = sum(lcounts)
-            nr = n_t - nl
-            rcounts = [t - l for t, l in zip(totals, lcounts)]
-            child = (
-                nl - sum(v * v for v in lcounts) / nl
-                + nr - sum(v * v for v in rcounts) / nr
-            ) / n_t
-            assert parent - child == pytest.approx(want[0], abs=1e-12)
+            assert _decrease(counts, got[1]) == pytest.approx(want[0], abs=1e-12)
+            assert all(sum(counts[c]) > 0 for c in got[1])
+
+    def test_batch_of_mixed_widths_scores_each_table(self):
+        # One batch holds tables of 0 to 12 present categories and one of 14,
+        # padded with empty categories to one width; the 14-category table
+        # takes the greedy search, every other one the exhaustive search.
+        rng = random.Random(7)
+        width = 16
+        tables = [_random_table(rng, rng.randint(1, 12)) for _ in range(40)]
+        tables.insert(5, [[rng.randint(1, 6) for _ in range(3)] for _ in range(12)])
+        wide = [[rng.randint(1, 6), rng.randint(1, 6)] for _ in range(14)]
+        tables.insert(17, wide)
+        batch = np.zeros((len(tables), width, 3), dtype=np.int64)
+        for i, table in enumerate(tables):
+            batch[i, : len(table), : len(table[0])] = table
+        value, left_mask = forest_module._score_partitions(batch, 1)
+        for i, table in enumerate(tables):
+            if table is wide:
+                want = best_partition(np.array(table), 1)
+            else:
+                want = oracle_best_partition(table, 1)
+            if want is None:
+                assert value[i] == -np.inf and not left_mask[i].any()
+                continue
+            assert value[i] == pytest.approx(want[0], abs=1e-12)
+            left = frozenset(np.flatnonzero(left_mask[i]).tolist())
+            assert max(left) < len(table)
+            assert _decrease(table, left) == pytest.approx(want[0], abs=1e-12)
 
     def test_pure_node_has_no_split(self):
         assert best_partition(np.array([[5, 0], [3, 0]])) is None
@@ -182,15 +220,15 @@ class TestTrain:
                     pure = sum(1 for c in node.class_counts if c) <= 1
                     assert pure or sum(node.class_counts) >= 4
 
-    def test_determinism_across_threads_and_runs(self, separable_rs):
+    def test_determinism_across_runs(self, separable_rs):
         cfg = ForestConfig(n_trees=16, seed=42)
-        a = train(separable_rs, "label", ["flag"], cfg, threads=1)
-        b = train(separable_rs, "label", ["flag"], cfg, threads=4)
+        a = train(separable_rs, "label", ["flag"], cfg)
+        b = train(separable_rs, "label", ["flag"], cfg)
         for ta, tb in zip(a.trees, b.trees):
             assert ta.nodes == tb.nodes
             assert np.array_equal(ta.oob_indices, tb.oob_indices)
-        ra = mda_importance(a, separable_rs, seed=9, threads=4)
-        rb = mda_importance(b, separable_rs, seed=9, threads=1)
+        ra = mda_importance(a, separable_rs, seed=9)
+        rb = mda_importance(b, separable_rs, seed=9)
         assert ra == rb
 
     def test_different_seeds_differ(self, separable_rs):

@@ -93,7 +93,7 @@ class TestRuleTable:
         assert [r.split(",")[0] for r in rows] == [r.id for r in result.rules]
         assert rows[0].startswith("R1,{weather=rain}")
 
-    def test_empty_case_needs_explicit_opt_in(self, tmp_path):
+    def test_empty_case_writes_header_only_table(self, tmp_path):
         rs = two_item_records(
             100, 20, 50, 10,
             var_x=("surface", "icy", "dry"),
@@ -108,13 +108,16 @@ class TestRuleTable:
         )
         result = run_case(ts, case)
         assert result.rules == ()
-        with pytest.raises(ValidationError, match="no rules"):
-            emit_rule_table(result, tmp_path / "rules.csv")
-        emit_rule_table(result, tmp_path / "rules.csv", allow_empty=True)
+        emit_rule_table(result, tmp_path / "rules.csv")
         assert (tmp_path / "rules.csv").read_text().splitlines() == [
             "ID,antecedents,S (%),C (%),L"
         ]
-        assert (tmp_path / "rules.txt").exists()
+        assert (tmp_path / "rules.txt").read_text().splitlines() == [
+            "case: nothing    consequent: severity=fatal",
+            "",
+            "ID  antecedents  S (%)  C (%)  L",
+            "--  -----------  -----  -----  -",
+        ]
 
 
 class TestItemFreqChart:

@@ -133,21 +133,6 @@ class TestGenerateRules:
         assert rules == []
         assert any("not frequent" in r.message for r in caplog.records)
 
-    def test_empty_antecedent_only_on_request(self):
-        rs, _, consequent, _ = planted_rule_records()
-        case = MiningCase(name="base", consequent=consequent,
-                          min_support=SupportSpec.of_count(1),
-                          min_confidence=0.01, min_lift=0.0)
-        ts, freq = _mine_case(rs, case)
-        plain = generate_rules(freq, ts, case)
-        assert all(rule.antecedent for rule in plain)
-        with_empty = generate_rules(freq, ts, case, allow_empty_antecedent=True)
-        empties = [r for r in with_empty if not r.antecedent]
-        assert len(empties) == 1
-        # an empty antecedent predicts the consequent base rate: lift exactly 1
-        assert empties[0].confidence == 810 / 1800
-        assert empties[0].lift == 1.0
-
     def test_missing_antecedent_subset_is_refused(self):
         rs, _, consequent, _ = planted_rule_records()
         case = MiningCase(name="gap", consequent=consequent,
@@ -180,14 +165,13 @@ class TestGenerateRules:
     @given(
         st.integers(0, 2**32 - 1),
         st.booleans(),
-        st.booleans(),
         st.integers(1, 6),
         st.sampled_from((0.01, 0.3, 0.6)),
         st.sampled_from((0.0, 1.0, 1.3)),
         st.integers(2, 4),
     )
     def test_matches_per_consequent_reference(
-        self, seed, constrained, allow_empty, min_count, min_confidence, min_lift, max_items
+        self, seed, constrained, min_count, min_confidence, min_lift, max_items
     ):
         rng = random.Random(seed)
         rs = random_record_set(rng)
@@ -198,12 +182,12 @@ class TestGenerateRules:
                           min_confidence=min_confidence, min_lift=min_lift,
                           max_rule_items=max_items)
         freq = mine_frequent(ts, case.min_support, 4)
-        got = generate_rules(freq, ts, case, allow_empty_antecedent=allow_empty)
-        want = reference_generate_rules(freq, ts, case, allow_empty_antecedent=allow_empty)
+        got = generate_rules(freq, ts, case)
+        want = reference_generate_rules(freq, ts, case)
         assert got == want
         # levels built from by_level alone: int64 rows, byte-string keys from k = 2
         ref_freq = reference_mine_frequent(ts, case.min_support, 4)
-        assert generate_rules(ref_freq, ts, case, allow_empty_antecedent=allow_empty) == want
+        assert generate_rules(ref_freq, ts, case) == want
         # the table's prune and rank against the per-consequent references
         want_kept = [
             rule

@@ -145,6 +145,16 @@ class TestIngest:
         assert rs.records[0].record_id == "1"
         assert rs.records[1].values == {"weather": "rain", "road": "wet"}
 
+    @pytest.mark.parametrize("id_column", ["Crash_Number", " Case  ID "])
+    def test_record_id_column_is_matched_after_normalization(self, weather_dict, id_column):
+        header = "crash_number" if id_column == "Crash_Number" else "CASE ID"
+        rs = ingest(
+            _csv(f"{header},weather,road\n7,clear,dry\n"),
+            weather_dict,
+            record_id_column=id_column,
+        )
+        assert rs.record_ids == ("7",)
+
     def test_extra_columns_ignored(self, weather_dict):
         rs = ingest(
             _csv("crash_number,weather,road,notes\n1,clear,dry,whatever\n"),
