@@ -24,9 +24,13 @@ Determinism. Each tree draws from its own RNG stream keyed by (seed,
 purpose, tree index). Lockstep growth still visits each tree's nodes in the
 depth-first, left-child-first order of a one-node-at-a-time grower, so every
 tree makes the same draws in the same order and numbers its nodes the same
-way. The Gini scores come from the same float operations on the same exact
-integer counts, so ties break the same way too: the first feature, then the
-first partition wins. A forest thus does not depend on the block size.
+way. The per-node feature draws are decoded a whole step at a time, for
+every tree in the step, from the uint32 words each tree's stream reads
+ahead (_FeatureDraws); each equals Generator.choice without replacement on
+that stream, sorted, which test_forest.py pins call for call. The Gini
+scores come from the same float operations on the same exact integer
+counts, so ties break the same way too: the first feature, then the first
+partition wins. A forest thus does not depend on the block size.
 
 Importance is Mean Decrease Accuracy: for every tree, the accuracy on its
 out-of-bag records is compared with the accuracy after permuting one
@@ -71,6 +75,9 @@ _BLOCK_ROWS = 1 << 19
 # out-of-bag rows per block of trees in prediction; bounds the temporaries.
 _CHUNK_ROWS = 1 << 15
 
+# uint32 words of a tree's RNG stream read ahead at once for its feature draws.
+_WORD_BUFFER = 1 << 10
+
 
 @dataclass(frozen=True)
 class ForestConfig:
@@ -81,6 +88,12 @@ class ForestConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_trees", "mtry", "min_node_size", "max_depth", "seed"):
+            value = getattr(self, name)
+            if value is None and name in ("mtry", "max_depth"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.n_trees < 1:
             raise ValidationError(f"n_trees {self.n_trees} must be >= 1")
         if self.mtry is not None and self.mtry < 1:
@@ -349,6 +362,98 @@ def _node_rows(
     return node, pos, samples[pos]
 
 
+class _FeatureDraws:
+    """Each tree's per-node feature draws, decoded for many trees at once.
+
+    draw(trees) returns, for each listed tree, its next
+    np.sort(rng.choice(p, size=m, replace=False)) on its own stream, bit for
+    bit, from words the stream has read ahead. numpy draws that sample with
+    bounded(r) reads: a uint32 word w gives x = w * (r + 1), a word with
+    x mod 2^32 < 2^32 mod (r + 1) is rejected (Lemire, ACM TOMACS 2019) and
+    the value is x >> 32; bounded(0) reads no word. For p <= 10_000 or
+    m <= p // 50 it runs Floyd's sample, bounded(j) for j = p - m .. p - 1
+    taking j when the value is already chosen, then shuffles the sample with
+    bounded(i) for i = m - 1 .. 1, which only consumes words here as the
+    sample is sorted. Otherwise it shuffles the tail of arange(p) with
+    bounded(i) for i = p - 1 .. max(p - m, 1) and takes its last m entries.
+    Either way a draw's sequence of r is fixed, so a step reads every tree's
+    words as one (tree, read) matrix and decodes it column by column.
+    """
+
+    def __init__(self, rngs: Sequence[np.random.Generator], p: int, m: int) -> None:
+        self.rngs = rngs
+        self.p, self.m = p, m
+        self.tail = p > 10_000 and m > p // 50
+        if self.tail:
+            self.bounds = np.arange(p - 1, max(p - m, 1) - 1, -1)
+        else:
+            self.bounds = np.concatenate([np.arange(max(p - m, 1), p), np.arange(m - 1, 0, -1)])
+        # r of each bounded(r) that reads a word, in order, and its Lemire terms
+        self.scale = self.bounds.astype(np.uint64) + 1
+        self.threshold = (1 << 32) % self.scale
+        width = max(_WORD_BUFFER, len(self.bounds))
+        self.words = np.stack([self._read(rng, width) for rng in rngs])
+        self.cursor = np.zeros(len(rngs), dtype=np.intp)  # next unread word per tree
+
+    @staticmethod
+    def _read(rng: np.random.Generator, size: int) -> np.ndarray:
+        """The next size raw uint32 words of rng, as next_uint32 yields them."""
+        return rng.integers(0, 1 << 32, size=size, dtype=np.uint32)
+
+    def _top_up(self, trees: np.ndarray, need: np.ndarray) -> None:
+        """Hold at least need[i] unread words for tree trees[i]: unread words
+        move to the front of the tree's buffer and its stream fills the rest."""
+        width = self.words.shape[1]
+        if need.max() > width:
+            extra = int(need.max()) - width
+            ahead = np.stack([self._read(rng, extra) for rng in self.rngs])
+            self.words = np.hstack([self.words, ahead])
+            width += extra
+        for t in trees[self.cursor[trees] + need > width].tolist():
+            c = self.cursor[t]
+            self.words[t, : width - c] = self.words[t, c:]
+            self.words[t, width - c :] = self._read(self.rngs[t], c)
+            self.cursor[t] = 0
+
+    def draw(self, trees: np.ndarray) -> np.ndarray:
+        """The next sorted feature sample of each of trees, a (tree, m) array."""
+        n, k = len(trees), len(self.scale)
+        x = np.zeros((n, k), dtype=np.uint64)
+        if k:
+            # skip[i, c]: words tree trees[i] rejected before read c's accepted one
+            skip = np.zeros((n, k), dtype=np.intp)
+            while True:
+                self._top_up(trees, k + skip[:, -1])
+                at = self.cursor[trees][:, None] + np.arange(k) + skip
+                x = self.words[trees[:, None], at] * self.scale
+                rejected = (x & 0xFFFFFFFF) < self.threshold
+                if not rejected.any():
+                    break
+                again = np.flatnonzero(rejected.any(axis=1))
+                first = rejected[again].argmax(axis=1)
+                skip[again] += np.arange(k) >= first[:, None]
+            self.cursor[trees] += k + skip[:, -1]
+        values = (x >> 32).astype(np.intp)
+        rows = np.arange(n)
+        p, m = self.p, self.m
+        if self.tail:
+            order = np.tile(np.arange(p), (n, 1))
+            for c, i in enumerate(self.bounds.tolist()):
+                j = values[:, c]
+                swapped = order[rows, j]
+                order[rows, j] = order[:, i]
+                order[:, i] = swapped
+            return np.sort(order[:, p - m :], axis=1)
+        if p == m:  # bounded(0) reads no word and gives 0
+            values = np.hstack([np.zeros((n, 1), dtype=np.intp), values])
+        chosen = np.zeros((n, p), dtype=bool)
+        for c, j in enumerate(range(p - m, p)):
+            v = values[:, c]
+            v = np.where(chosen[rows, v], j, v)
+            chosen[rows, v] = True
+        return np.nonzero(chosen)[1].reshape(n, m)
+
+
 @contextmanager
 def _gc_paused() -> Iterator[None]:
     """Pause the garbage collector: tens of thousands of new acyclic node
@@ -422,6 +527,7 @@ def _grow_block(
     cells = width * n_classes
     rngs = [np.random.default_rng([cfg.seed % 2**64, 0, i]) for i in block]
     samples = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
+    draws = _FeatureDraws(rngs, len(X), mtry)
     root_counts = np.array([
         np.bincount(y[samples[j * n : (j + 1) * n]], minlength=n_classes)
         for j in range(n_trees)
@@ -450,10 +556,8 @@ def _grow_block(
             break
         live = [entry[0] for entry in batch]
         n_batch = len(batch)
-        feats = np.array(
-            [np.sort(rngs[j].choice(len(X), size=mtry, replace=False)) for j in live]
-        )
         tree, nid, starts, ends, depth = (np.array(column) for column in zip(*batch))
+        feats = draws.draw(tree)
         lengths = ends - starts
         chunks = _row_chunks(lengths)
         cont = np.empty((n_batch, mtry, cells), dtype=np.int64)

@@ -22,6 +22,7 @@ is refused.
 from __future__ import annotations
 
 import logging
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations
@@ -99,14 +100,17 @@ class MiningCase:
     top_k: int = 20
 
     def __post_init__(self) -> None:
+        case = f"case {self.name!r}:"
         if not 0.0 < self.min_confidence <= 1.0:
-            raise ValidationError(f"min_confidence {self.min_confidence} must be in (0, 1]")
-        if self.min_lift < 0.0:
-            raise ValidationError(f"min_lift {self.min_lift} must be >= 0")
+            raise ValidationError(f"{case} min_confidence {self.min_confidence} must be in (0, 1]")
+        if not 0.0 <= self.min_lift < math.inf:
+            raise ValidationError(f"{case} min_lift {self.min_lift} must be finite and >= 0")
         if self.max_rule_items < 2:
-            raise ValidationError("max_rule_items must be >= 2 (antecedent plus consequent)")
+            raise ValidationError(
+                f"{case} max_rule_items must be >= 2 (antecedent plus consequent)"
+            )
         if self.top_k < 0:
-            raise ValidationError("top_k must be >= 0")
+            raise ValidationError(f"{case} top_k must be >= 0")
 
     def describe(self) -> dict:
         return {

@@ -213,6 +213,15 @@ class TestConfigErrors:
                 lambda c: c.update({"crosstab_rows": ["weather", "road", "weather"]}),
                 "'crosstab_rows' repeats 'weather'",
             ),
+            # Python's json reads NaN; such a case would silently mine nothing
+            (
+                lambda c: c["cases"][0].update({"min_lift": float("nan")}),
+                "case 'wet roads': min_lift nan",
+            ),
+            (
+                lambda c: c["cases"][0].update({"min_confidence": 1.5}),
+                "case 'wet roads': min_confidence 1.5",
+            ),
         ],
     )
     def test_rejected_configs_exit_2(self, tmp_path, capsys, mutate, needle):

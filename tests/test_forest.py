@@ -1,5 +1,6 @@
 """Forest training, out-of-bag prediction, and permutation importance."""
 
+import itertools
 import math
 import random
 from pathlib import Path
@@ -46,6 +47,25 @@ class TestForestConfig:
     )
     def test_bounds(self, kwargs):
         with pytest.raises(ValidationError):
+            ForestConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_trees": True},
+            {"n_trees": 2.0},
+            {"mtry": 2.0},
+            {"mtry": True},
+            {"min_node_size": 5.0},
+            {"max_depth": 2.0},
+            {"max_depth": False},
+            {"seed": 1.5},
+            {"seed": "7"},
+            {"seed": None},
+        ],
+    )
+    def test_rejects_bools_and_non_integers(self, kwargs):
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
             ForestConfig(**kwargs)
 
     def test_defaults(self):
@@ -472,6 +492,135 @@ class TestFlatForestMatchesReference:
             assert np.array_equal(a.in_bag, b.in_bag)
         assert _report_bits(mda_importance(per_tree, rs, seed=4)) == _report_bits(report)
         assert oob_predict(per_tree, rs) == oob_predict(one_block, rs)
+
+    @pytest.mark.parametrize("words", [1, 4, 7])
+    def test_word_buffer_size_does_not_change_results(self, monkeypatch, words):
+        """A buffer of a few words refills almost every step, and a step's
+        reads span the words left over and the ones refilled."""
+        rs, predictor, noise = planted_mda_records(n=120)
+        features = [predictor] + noise
+        cfg = ForestConfig(n_trees=6, min_node_size=2, seed=3)
+        full = train(rs, "resp", features, cfg)
+        report = mda_importance(full, rs, seed=4)
+        monkeypatch.setattr(forest_module, "_WORD_BUFFER", words)
+        small = train(rs, "resp", features, cfg)
+        for a, b in zip(full.trees, small.trees):
+            assert a.nodes == b.nodes
+            assert np.array_equal(a.in_bag, b.in_bag)
+        assert _report_bits(mda_importance(small, rs, seed=4)) == _report_bits(report)
+        assert oob_predict(small, rs) == oob_predict(full, rs)
+
+
+def _scalar_choice(words, p: int, m: int, rejected: list[int] | None = None) -> list[int]:
+    """sorted(Generator.choice(p, size=m, replace=False)), one uint32 word of
+    the iterator words at a time, by the rule numpy follows; appends each
+    rejected word to rejected."""
+    def bounded(r: int) -> int:
+        while r:
+            w = next(words)
+            x = w * (r + 1)
+            if x % 2**32 >= 2**32 % (r + 1):
+                return x >> 32
+            if rejected is not None:
+                rejected.append(w)
+        return 0
+
+    if p > 10_000 and m > p // 50:
+        order = list(range(p))
+        for i in range(p - 1, max(p - m, 1) - 1, -1):
+            j = bounded(i)
+            order[i], order[j] = order[j], order[i]
+        return sorted(order[p - m :])
+    chosen: set[int] = set()
+    for j in range(p - m, p):
+        v = bounded(j)
+        chosen.add(j if v in chosen else v)
+    for i in range(m - 1, 0, -1):
+        bounded(i)
+    return sorted(chosen)
+
+
+def _stream_words(rng: np.random.Generator):
+    while True:
+        yield int(rng.integers(0, 2**32, size=1, dtype=np.uint32)[0])
+
+
+_DRAW_SHAPES = sorted(
+    {(p, m) for p in (1, 2, 9, 12, 40, 10_000) for m in (1, math.isqrt(p), p)}
+    | {(10_001, 201), (10_001, 10_001)}
+)
+
+
+class TestFeatureDraws:
+    """The grower's batched feature draw is numpy's Generator.choice without
+    replacement, sorted, call for call on each tree's stream. A numpy whose
+    choice consumed its stream differently would fail here first."""
+
+    @pytest.mark.parametrize("p,m", _DRAW_SHAPES)
+    def test_matches_generator_choice(self, p, m):
+        n_streams, steps = (7, 40) if p <= 40 else (3, 3)
+        pick = random.Random(p * 100_003 + m)
+        seed = pick.randrange(2**32)
+        ours = [np.random.default_rng([seed, 0, i]) for i in range(n_streams)]
+        theirs = [np.random.default_rng([seed, 0, i]) for i in range(n_streams)]
+        for a, b in zip(ours, theirs):
+            # a bootstrap-like draw first, which may leave half a 64-bit word
+            size = pick.randrange(1, 10)
+            assert np.array_equal(a.integers(0, 50, size=size), b.integers(0, 50, size=size))
+        draws = forest_module._FeatureDraws(ours, p, m)
+        for _ in range(steps):
+            trees = sorted(pick.sample(range(n_streams), pick.randint(1, n_streams)))
+            got = draws.draw(np.array(trees))
+            want = [np.sort(theirs[t].choice(p, size=m, replace=False)) for t in trees]
+            assert got.shape == (len(trees), m)
+            assert got.tolist() == [w.tolist() for w in want]
+
+    @pytest.mark.parametrize("p,m", [(9, 3), (12, 12), (40, 6), (10_001, 201), (10_001, 10_001)])
+    def test_scalar_model_matches_generator_choice(self, p, m):
+        ours, theirs = np.random.default_rng([p, 0, m]), np.random.default_rng([p, 0, m])
+        words = _stream_words(ours)
+        for _ in range(3 if p > 40 else 30):
+            assert _scalar_choice(words, p, m) == np.sort(
+                theirs.choice(p, size=m, replace=False)
+            ).tolist()
+
+    @pytest.mark.parametrize("p,m", [(9, 3), (12, 12), (40, 6), (10_001, 201)])
+    def test_rejected_words_are_skipped(self, monkeypatch, p, m):
+        """Crafted words with x mod 2^32 < 2^32 mod (r + 1) for the draw's r
+        are rejected; after them each tree reads on from its stream."""
+        monkeypatch.setattr(forest_module, "_WORD_BUFFER", 40)
+        n_streams = 4
+        ours = [np.random.default_rng([11, 0, i]) for i in range(n_streams)]
+        draws = forest_module._FeatureDraws(ours, p, m)
+        width = draws.words.shape[1]
+        theirs = [np.random.default_rng([11, 0, i]) for i in range(n_streams)]
+        for rng in theirs:
+            rng.integers(0, 2**32, size=width, dtype=np.uint32)  # the buffer's words
+        pick = random.Random(p + m)
+        scales = draws.scale.tolist()  # r + 1 of each read
+        # w = 0 is rejected wherever 2^32 mod (r + 1) > 0; for odd r + 1, so is
+        # the w with x mod 2^32 == t for each 0 < t < 2^32 mod (r + 1)
+        rejected = [0, *itertools.islice(
+            (t * pow(s, -1, 2**32) % 2**32 for s in scales if s % 2
+             for t in range(1, 2**32 % s)),
+            10,
+        )]
+        crafted = [
+            [pick.choice(rejected) if pick.random() < 0.4 else pick.randrange(2**32)
+             for _ in range(width)]
+            for _ in range(n_streams)
+        ]
+        draws.words[:] = np.array(crafted, dtype=np.uint32)
+        scalar = [itertools.chain(row, _stream_words(rng)) for row, rng in zip(crafted, theirs)]
+        skipped: list[int] = []
+        for _ in range(12 if p <= 40 else 3):
+            trees = sorted(pick.sample(range(n_streams), pick.randint(1, n_streams)))
+            got = draws.draw(np.array(trees))
+            assert got.tolist() == [_scalar_choice(scalar[t], p, m, skipped) for t in trees]
+        assert 0 in skipped
+        # the nonzero crafted words are rejected only at the read they were
+        # made for, which the few reads of a small draw are sure to meet
+        assert len(set(skipped)) > 1 or p > 40
 
 
 def test_tree_arrays_are_read_only(separable_rs):

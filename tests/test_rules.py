@@ -93,6 +93,12 @@ class TestMiningCase:
         with pytest.raises(ValidationError):
             MiningCase(**{**ok, "top_k": -1})
 
+    @pytest.mark.parametrize("min_lift", [float("nan"), float("inf"), float("-inf")])
+    def test_min_lift_must_be_finite(self, min_lift):
+        with pytest.raises(ValidationError, match=r"case 'x': min_lift"):
+            MiningCase(name="x", consequent=("a", "b"), min_support=SupportSpec.of_count(1),
+                       min_confidence=0.5, min_lift=min_lift)
+
     def test_describe_round_trips_thresholds(self):
         case = MiningCase(name="night", consequent=("sev", "fatal"),
                           min_support=SupportSpec.of_fraction(0.004),
