@@ -239,7 +239,8 @@ def _next_level(
     pairs_before = np.cumsum(partners) - partners
     chunk_pairs = max(1, _CHUNK_WORDS // ts.bitmaps.shape[1])
     cuts = np.arange(chunk_pairs, pairs_before[-1] + 1, chunk_pairs)
-    bounds = [0, *np.unique(np.searchsorted(pairs_before, cuts)).tolist(), m]
+    cut_rows = np.searchsorted(pairs_before, cuts)  # sorted; drop repeats
+    bounds = [0, *cut_rows[np.diff(cut_rows, prepend=-1) > 0].tolist(), m]
     extend = partial(_extend, level, _row_keys(level), partners, variable, ts.bitmaps, threshold)
     parts = run_ordered(extend, [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
     return (

@@ -9,16 +9,22 @@ Layout. A tree is a set of read-only parallel arrays indexed by node id, as
 in ranger (Wright & Ziegler, JSS 2017): split feature (-1 at a leaf), left
 and right child ids, majority class, per-class in-bag counts, and a routing
 table per node holding one bool per category of its split feature, True
-where that category goes left. Prediction moves every query row down one
-tree level per step through these arrays, for a whole block of trees at once.
+where that category goes left. Prediction lays a block of trees end to end
+and turns their routing tables into one child table, which holds for every
+node and category the id of the child that category goes to. It moves every
+query row down one tree level per step, each step one lookup in that table
+at the node's offset plus the row's code, read from a row-major copy of the
+codes.
 
 Growth. Trees are grown a block at a time, in lockstep: each step takes the
 next depth-first node of every tree in the block that can still split,
 counts the (category, class) tables of all their candidate features with
 bincount, scores every category partition of every table at once and
-splits. Blocks hold up to _BLOCK_ROWS bootstrap rows, so the block
-partition depends only on the record and tree counts. Blocks run one after
-another.
+splits. Scoring lays the tables out class-major, so each per-class sum adds
+whole (table, partition) slabs; every count and sum of squared counts is an
+integer below 2^53 and so exact in float64. Blocks hold up to _BLOCK_ROWS
+bootstrap rows, so the block partition depends only on the record and tree
+counts. Blocks run one after another.
 
 Determinism. Each tree draws from its own RNG stream keyed by (seed,
 purpose, tree index). Lockstep growth still visits each tree's nodes in the
@@ -32,13 +38,14 @@ scores come from the same float operations on the same exact integer
 counts, so ties break the same way too: the first feature, then the first
 partition wins. A forest thus does not depend on the block size.
 
-Importance is Mean Decrease Accuracy: for every tree, the accuracy on its
-out-of-bag records is compared with the accuracy after permuting one
-feature's column within those records; the per-feature mean over trees is
-the mda, reported with its standard deviation. A feature no tree ever
-splits on scores exactly 0. A permuted row follows its unpermuted path down
-to the first node that splits on the permuted feature, so it is routed
-again only from there.
+Importance is Mean Decrease Accuracy (Breiman, 2001): for every tree, the
+accuracy on its out-of-bag records is compared with the accuracy after
+permuting one feature's column within those records; the per-feature mean
+over trees is the mda, reported with its standard deviation. A feature no
+tree ever splits on scores exactly 0. A permuted row follows its unpermuted
+path down to the first node that splits on the permuted feature, so it is
+routed again only from there, and only if the permutation changed its code
+for that feature; a row whose code is unchanged reaches the same leaf.
 """
 
 from __future__ import annotations
@@ -267,13 +274,14 @@ def _tree_blocks(n_records: int, n_trees: int, max_rows: int) -> list[range]:
 @cache
 def _partition_bits(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Row p - 1 is partition mask p over the first m - 1 present categories,
-    as bool and as float64; the enumeration order of _score_partitions."""
+    as bool; column p - 1 of the float64 matrix is the same mask. This is the
+    enumeration order of _score_partitions."""
     masks = np.arange(1, 1 << (m - 1), dtype=np.uint32)
     bits = ((masks[:, None] >> np.arange(m - 1)) & 1).astype(bool)
-    as_float = bits.astype(np.float64)
+    columns = np.ascontiguousarray(bits.T, dtype=np.float64)
     bits.setflags(write=False)
-    as_float.setflags(write=False)
-    return bits, as_float
+    columns.setflags(write=False)
+    return bits, columns
 
 
 def _score_partitions(cont: np.ndarray, min_node_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -285,22 +293,23 @@ def _score_partitions(cont: np.ndarray, min_node_size: int) -> tuple[np.ndarray,
     category) mask of the categories it sends left. A table with m <= 12
     present categories has its 2^(m-1) - 1 unordered partitions scored
     exactly, its last present category fixed on the right; the first best
-    partition wins ties. Sums of counts are exact in float64 in any order,
-    so a table scores the same alone or in any batch. A wider table gets
-    _greedy_partition.
+    partition wins ties. The scored tables are laid out class-major, so
+    every per-class sum adds whole (table, partition) slabs. All counts and
+    sums of their squares are integers below 2^53, exact in float64 in any
+    order, so a table scores the same alone or in any batch. A wider table
+    gets _greedy_partition.
     """
     n_tables, width, n_classes = cont.shape
-    counts = cont.astype(np.float64)
-    present = counts.sum(axis=2) > 0
+    # einsum sums the short inner axes far faster than ufunc reductions do
+    present = np.einsum("tck->tc", cont) > 0
     m = present.sum(axis=1)
-    class_totals = counts.sum(axis=1)
-    n_t = class_totals.sum(axis=1)
+    class_totals = np.einsum("tck->tk", cont)
     best = np.full(n_tables, -np.inf)
     left_mask = np.zeros((n_tables, width), dtype=bool)
     sel = np.flatnonzero((m >= 2) & (m <= _EXHAUSTIVE_MAX_CATEGORIES))
     if len(sel):
         top = int(m[sel].max())
-        bits, bits_float = _partition_bits(top)
+        bits, columns = _partition_bits(top)
         # A table's present categories take positions 0.. in category order;
         # its last one stays right, and positions m - 1 .. top - 2 are empty
         # padding. A partition that sets a padding bit repeats an earlier one
@@ -310,18 +319,22 @@ def _score_partitions(cont: np.ndarray, min_node_size: int) -> tuple[np.ndarray,
         movable = present[sel] & (rank < (m[sel] - 1)[:, None])
         g, c = np.nonzero(movable)
         at = rank[g, c]
-        cp = np.zeros((len(sel), top - 1, n_classes))
-        cp[g, at] = counts[sel[g], c]
+        cp = np.zeros((n_classes, len(sel), top - 1))
+        cp[:, g, at] = cont[sel[g], c].T
         category = np.full((len(sel), top - 1), width)  # padding -> spare column
         category[g, at] = c
-        left = bits_float @ cp
-        right = class_totals[sel][:, None, :] - left
-        nl = left.sum(axis=2)
-        nt = n_t[sel][:, None]
+        # (class, table, partition) counts of the left and right children
+        left = (cp.reshape(-1, top - 1) @ columns).reshape(n_classes, len(sel), -1)
+        totals = class_totals[sel].T.astype(np.float64)
+        right = totals[:, :, None] - left
+        nl = left.sum(axis=0)
+        nt = totals.sum(axis=0)[:, None]
         nr = nt - nl
-        parent = 1.0 - (class_totals[sel] ** 2).sum(axis=1, keepdims=True) / (nt * nt)
+        parent = 1.0 - (totals**2).sum(axis=0)[:, None] / (nt * nt)
+        left **= 2
+        right **= 2
         with np.errstate(divide="ignore", invalid="ignore"):
-            child = (nl - (left**2).sum(axis=2) / nl + nr - (right**2).sum(axis=2) / nr) / nt
+            child = (nl - left.sum(axis=0) / nl + nr - right.sum(axis=0) / nr) / nt
         decrease = parent - child
         valid = (nl >= min_node_size) & (nr >= min_node_size)
         decrease = np.where(valid, decrease, -np.inf)
@@ -523,6 +536,7 @@ def _grow_block(
     """
     n = len(y)
     n_trees = len(block)
+    flat_codes = X.ravel()  # feature f of record r at f * n + r
     width = int(n_cats.max())
     cells = width * n_classes
     rngs = [np.random.default_rng([cfg.seed % 2**64, 0, i]) for i in block]
@@ -565,7 +579,8 @@ def _grow_block(
             node, _, rows = _node_rows(samples, starts[lo:hi], lengths[lo:hi])
             key_base = node * cells + y[rows]
             for s in range(mtry):
-                key = X[np.repeat(feats[lo:hi, s], lengths[lo:hi]), rows].astype(np.intp)
+                at = np.repeat(feats[lo:hi, s] * n, lengths[lo:hi]) + rows
+                key = flat_codes[at].astype(np.intp)
                 key *= n_classes
                 key += key_base
                 cont[lo:hi, s] = np.bincount(key, minlength=(hi - lo) * cells).reshape(
@@ -583,7 +598,8 @@ def _grow_block(
         for lo, hi in chunks:
             # Reorder each split node's rows: left child's first, then right's.
             node, pos, rows = _node_rows(samples, starts[lo:hi], lengths[lo:hi])
-            go_left = route[lo:hi][node, X[np.repeat(feature[lo:hi], lengths[lo:hi]), rows]]
+            code = flat_codes[np.repeat(feature[lo:hi] * n, lengths[lo:hi]) + rows]
+            go_left = route[lo:hi][node, code]
             side = (2 * node + ~go_left).astype(np.min_scalar_type(2 * (hi - lo)))
             samples[pos] = rows[np.argsort(side, kind="stable")]
         table = table[split]
@@ -668,7 +684,7 @@ def train(
     codes = rs.codes[[rs.dictionary.variable_index(v) for v in features + (response,)]]
     X, y = codes[:-1], codes[-1]
     class_labels = rs.dictionary.variable(response).categories
-    if len(np.unique(y)) < 2:
+    if not (y != y[0]).any():
         raise ValidationError(
             f"response {response!r} takes a single value; nothing to learn"
         )
@@ -704,25 +720,29 @@ def train(
 
 
 def _concat_trees(trees: Sequence[DecisionTree]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Root ids and the trees' node arrays end to end, ids offset to match."""
+    """Root ids and the trees' node arrays end to end, ids offset to match:
+    split feature, majority class, the start of each node's routing table
+    and the child table. Node i sends category c to child[route_start[i] + c],
+    its left child where routing[route_start[i] + c] holds, else its right
+    one, which is the left one's id plus one."""
     sizes = [len(t.feature) for t in trees]
     roots = np.cumsum(sizes) - sizes
     route_sizes = [len(t.routing) for t in trees]
     route_offsets = np.cumsum(route_sizes) - route_sizes
+    left = np.concatenate([t.left + r for t, r in zip(trees, roots)])
+    widths = np.concatenate([np.diff(t.route_start) for t in trees])
     flat = (
         np.concatenate([t.feature for t in trees]),
-        np.concatenate([t.left + r for t, r in zip(trees, roots)]),
-        np.concatenate([t.right + r for t, r in zip(trees, roots)]),
         np.concatenate([t.class_index for t in trees]),
         np.concatenate([t.route_start[:-1] + o for t, o in zip(trees, route_offsets)]),
-        np.concatenate([t.routing for t in trees]),
+        np.repeat(left, widths) + ~np.concatenate([t.routing for t in trees]),
     )
     return roots, flat
 
 
 def _predict(
     flat: tuple[np.ndarray, ...],
-    X: np.ndarray,
+    codes: np.ndarray,
     start: np.ndarray,
     row: np.ndarray,
     permuted: tuple[int, np.ndarray] | None = None,
@@ -730,34 +750,39 @@ def _predict(
 ) -> np.ndarray:
     """Class index of the leaf each query reaches, one tree level per step.
 
-    Query q starts at node start[q] and reads the codes of record row[q];
-    with permuted = (f, rows) it reads feature f from record rows[q]
-    instead. If given, first_split[f, q] is set to the first node on query
-    q's path that splits on feature f, where it is still negative. Queries
-    are routed _CHUNK_ROWS at a time.
+    codes is the row-major (record, feature) code matrix. Query q starts at
+    node start[q] and reads the codes of record row[q]; with permuted =
+    (f, rows) it reads feature f from record rows[q] instead. If given,
+    first_split[f, q] is set to the first node on query q's path that splits
+    on feature f, where it is still negative. Queries are routed _CHUNK_ROWS
+    at a time.
     """
-    feature, left, right, class_index, route_start, routing = flat
+    feature, class_index, route_start, child = flat
+    p = codes.shape[1]
+    codes = codes.ravel()
     out = np.empty(len(start), dtype=np.intp)
     for lo in range(0, len(start), _CHUNK_ROWS):
         query = np.arange(lo, min(lo + _CHUNK_ROWS, len(start)))
-        node, r = start[query], row[query]
+        node, at = start[query], row[query] * p  # at: the record's first code
         if permuted is not None:
-            pf, pr = permuted[0], permuted[1][query]
+            pf, permuted_at = permuted[0], permuted[1][query] * p
         while len(query):
             f = feature[node]
             leaf = f < 0
             if leaf.any():
                 out[query[leaf]] = class_index[node[leaf]]
                 inner = ~leaf
-                query, node, r, f = query[inner], node[inner], r[inner], f[inner]
+                query, node, at, f = query[inner], node[inner], at[inner], f[inner]
                 if permuted is not None:
-                    pr = pr[inner]
+                    permuted_at = permuted_at[inner]
             if first_split is not None:
                 new = first_split[f, query] < 0
                 first_split[f[new], query[new]] = node[new]
-            code = X[f, r] if permuted is None else X[f, np.where(f == pf, pr, r)]
-            go_left = routing[route_start[node] + code]
-            node = np.where(go_left, left[node], right[node])
+            if permuted is not None:
+                code = codes[np.where(f == pf, permuted_at, at) + f]
+            else:
+                code = codes[at + f]
+            node = child[route_start[node] + code]
     return out
 
 
@@ -783,7 +808,7 @@ def oob_predict(forest: Forest, rs: RecordSet) -> OobPrediction:
     in the dictionary.
     """
     codes = _check_match(forest, rs)
-    X, y = codes[:-1], codes[-1]
+    by_record, y = np.ascontiguousarray(codes[:-1].T), codes[-1]
     n = forest.n_records
     n_classes = len(forest.class_labels)
     votes = np.zeros(n * n_classes, dtype=np.int64)
@@ -792,7 +817,7 @@ def oob_predict(forest: Forest, rs: RecordSet) -> OobPrediction:
         roots, flat = _concat_trees(trees)
         rows = np.concatenate([t.oob_indices for t in trees])
         start = np.repeat(roots, [len(t.oob_indices) for t in trees])
-        preds = _predict(flat, X, start, rows)
+        preds = _predict(flat, by_record, start, rows)
         votes += np.bincount(rows * n_classes + preds, minlength=n * n_classes)
     votes = votes.reshape(n, n_classes)
     covered = votes.sum(axis=1) > 0
@@ -818,13 +843,15 @@ def mda_importance(forest: Forest, rs: RecordSet, seed: int) -> ImportanceReport
     """
     codes = _check_match(forest, rs)
     X, y = codes[:-1], codes[-1]
+    by_record = np.ascontiguousarray(X.T)
     n_features = len(forest.features)
 
     def block_drops(block: range) -> list[np.ndarray]:
         """The accuracy drop per feature of each tree in block with OOB rows.
 
-        Permuted rows are routed again only from the first node on their
-        unpermuted path that splits on the permuted feature.
+        A permuted row is routed again only from the first node on its
+        unpermuted path that splits on the permuted feature, and only if the
+        permutation changed its code there; otherwise it reaches the same leaf.
         """
         members = [forest.trees[t] for t in block]
         roots, flat = _concat_trees(members)
@@ -842,7 +869,7 @@ def mda_importance(forest: Forest, rs: RecordSet, seed: int) -> ImportanceReport
         owner = np.repeat(np.arange(len(kept)), sizes)
         start = np.repeat([root for _, _, root in kept], sizes)
         first_split = np.full((n_features, len(oob)), -1, dtype=np.intp)
-        base = _predict(flat, X, start, oob, first_split=first_split) == y[oob]
+        base = _predict(flat, by_record, start, oob, first_split=first_split) == y[oob]
         hits = np.empty((len(kept), n_features + 1), dtype=np.int64)
         hits[:, 0] = np.bincount(owner[base], minlength=len(kept))
         for f in range(n_features):
@@ -850,8 +877,8 @@ def mda_importance(forest: Forest, rs: RecordSet, seed: int) -> ImportanceReport
             permuted_rows = np.concatenate(
                 [o[rng.permutation(len(o))] for o, rng in zip(oobs, rngs)]
             )
-            q = np.flatnonzero(first_split[f] >= 0)
-            pred = _predict(flat, X, first_split[f, q], oob[q], (f, permuted_rows[q]))
+            q = np.flatnonzero((first_split[f] >= 0) & (X[f, permuted_rows] != X[f, oob]))
+            pred = _predict(flat, by_record, first_split[f, q], oob[q], (f, permuted_rows[q]))
             now = pred == y[oob[q]]
             change = now.astype(np.int64) - base[q]
             hits[:, f + 1] = hits[:, 0] + np.bincount(

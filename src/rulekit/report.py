@@ -14,7 +14,6 @@ import datetime as _dt
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .errors import ValidationError
 from .forest import ImportanceReport, export_importance_csv
@@ -87,10 +86,15 @@ def _svg_document(width: int, height: int, body: Sequence[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
+def _escape(s: str) -> str:
+    """s as XML character data: &, < and > as entities, & first."""
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _text(x: float, y: float, s: str, anchor: str = "start") -> str:
     return (
         f'<text x="{x:.1f}" y="{y:.1f}" {_FONT} '
-        f'text-anchor="{anchor}">{escape(s)}</text>'
+        f'text-anchor="{anchor}">{_escape(s)}</text>'
     )
 
 

@@ -101,6 +101,10 @@ class MiningCase:
 
     def __post_init__(self) -> None:
         case = f"case {self.name!r}:"
+        for name in ("max_rule_items", "top_k"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{case} {name} must be an integer, got {value!r}")
         if not 0.0 < self.min_confidence <= 1.0:
             raise ValidationError(f"{case} min_confidence {self.min_confidence} must be in (0, 1]")
         if not 0.0 <= self.min_lift < math.inf:
@@ -266,7 +270,7 @@ def prune_redundant(rules: Sequence[Rule]) -> Sequence[Rule]:
     best = np.maximum.reduceat(table.confidence[order], starts)
     lengths = (keys[:, 1:] > 0).sum(axis=1)
     dominated = np.zeros(len(keys), dtype=bool)
-    for length in np.unique(lengths).tolist():
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
         rows = np.flatnonzero(lengths == length)
         own, confidence = keys[rows], table.confidence[rows]
         hit = np.zeros(len(rows), dtype=bool)

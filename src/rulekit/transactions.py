@@ -107,7 +107,11 @@ def encode(rs: RecordSet, selected_vars: Sequence[str], full_universe: bool = Fa
     membership: list[np.ndarray] = []
     for j in sorted({rs.dictionary.variable_index(var) for var in selected_vars}):
         var_schema, codes = rs.dictionary.variables[j], rs.codes[j]
-        kept = np.arange(len(var_schema.categories)) if full_universe else np.unique(codes)
+        n_categories = len(var_schema.categories)
+        if full_universe:
+            kept = np.arange(n_categories)
+        else:
+            kept = np.flatnonzero(np.bincount(codes, minlength=n_categories))
         items.extend((var_schema.name, var_schema.categories[code]) for code in kept)
         membership.append(codes == kept[:, None])
     universe = ItemUniverse(items=tuple(items))

@@ -2,10 +2,17 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rulekit
 from rulekit.cli import main
+
+SAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "sample" / "config.json"
 
 DICTIONARY = {
     "version": "test-1",
@@ -430,3 +437,28 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(cfg)]) == 0
         items = (tmp_path / "out" / "item_frequency.csv").read_text()
         assert "road=wet" in items
+
+
+def test_commands_leave_slow_imports_unloaded(tmp_path):
+    # numpy.ma (which a plain np.unique loads on numpy 2.4) and the network
+    # modules behind xml.sax.saxutils cost tens of ms of every run's start-up.
+    script = (
+        "import sys\n"
+        "from rulekit.cli import main\n"
+        "config, out = sys.argv[1:]\n"
+        "assert main(['pipeline', '--config', config, '--out', out]) == 0\n"
+        "assert main(['mine', '--config', config, '--out', out]) == 0\n"
+        "slow = ('numpy.ma', 'urllib.request', 'http.client', 'ssl', 'xml.sax')\n"
+        "print(','.join(m for m in slow if m in sys.modules))\n"
+    )
+    src = str(Path(rulekit.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(SAMPLE_CONFIG), str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == ""

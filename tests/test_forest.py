@@ -87,23 +87,6 @@ def _random_table(rng: random.Random, n_cats: int) -> list[list[int]]:
     ]
 
 
-def _decrease(counts: list[list[int]], left: frozenset[int]) -> float:
-    """Gini decrease of sending the categories in left to the left child."""
-    n_classes = len(counts[0])
-    totals = [sum(row[k] for row in counts) for k in range(n_classes)]
-    n_t = sum(totals)
-    parent = 1.0 - sum(t * t for t in totals) / (n_t * n_t)
-    lcounts = [sum(counts[i][k] for i in left) for k in range(n_classes)]
-    nl = sum(lcounts)
-    nr = n_t - nl
-    rcounts = [t - l for t, l in zip(totals, lcounts)]
-    child = (
-        nl - sum(v * v for v in lcounts) / nl
-        + nr - sum(v * v for v in rcounts) / nr
-    ) / n_t
-    return parent - child
-
-
 class TestBestPartition:
     def test_matches_exhaustive_oracle(self):
         rng = random.Random(20260815)
@@ -112,14 +95,9 @@ class TestBestPartition:
             min_node = rng.choice((1, 1, 2))
             got = best_partition(np.array(counts), min_node)
             want = oracle_best_partition(counts, min_node)
-            if want is None:
-                assert got is None
-                continue
-            assert got is not None
-            assert got[0] == pytest.approx(want[0], abs=1e-12)
-            # the returned subset must itself achieve the optimal decrease
-            assert _decrease(counts, got[1]) == pytest.approx(want[0], abs=1e-12)
-            assert all(sum(counts[c]) > 0 for c in got[1])
+            # every count is an exact integer in float64, so the scorer gives
+            # the oracle's decrease to the bit and its first best left set
+            assert got == want
 
     def test_batch_of_mixed_widths_scores_each_table(self):
         # One batch holds tables of 0 to 12 present categories and one of 14,
@@ -143,10 +121,8 @@ class TestBestPartition:
             if want is None:
                 assert value[i] == -np.inf and not left_mask[i].any()
                 continue
-            assert value[i] == pytest.approx(want[0], abs=1e-12)
-            left = frozenset(np.flatnonzero(left_mask[i]).tolist())
-            assert max(left) < len(table)
-            assert _decrease(table, left) == pytest.approx(want[0], abs=1e-12)
+            assert value[i] == want[0]
+            assert frozenset(np.flatnonzero(left_mask[i]).tolist()) == want[1]
 
     def test_pure_node_has_no_split(self):
         assert best_partition(np.array([[5, 0], [3, 0]])) is None
@@ -346,6 +322,19 @@ class TestMdaImportance:
         for name in noise:
             assert by_var[name].mda == 0.0
             assert by_var[name].sd == 0.0
+
+    def test_single_code_feature_scores_exactly_zero(self):
+        # a permutation of a column with one code leaves every row's code
+        # as it is, so no permuted row reaches another leaf
+        rs, predictor, noise = planted_mda_records(n=200)
+        spec = {v.name: v.categories for v in rs.dictionary.variables}
+        d = make_dictionary({"const": ("k", "other"), **spec})
+        rs = make_records(d, [{**r.values, "const": "k"} for r in rs.records])
+        f = train(rs, "resp", [predictor, "const", *noise], ForestConfig(n_trees=20, seed=3))
+        report = mda_importance(f, rs, seed=3)
+        (const,) = [e for e in report.entries if e.variable == "const"]
+        assert (const.mda, const.sd) == (0.0, 0.0)
+        assert _report_bits(report) == _report_bits(reference_mda(f, rs, 3))
 
     def test_planted_predictor_ranks_first(self):
         rs, predictor, noise = planted_mda_records(n=300)

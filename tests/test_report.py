@@ -242,6 +242,15 @@ class TestImportanceChart:
         export_importance_csv(report, tmp_path / "direct.csv")
         assert (tmp_path / "imp.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
 
+    def test_labels_escape_markup_characters(self, tmp_path):
+        # & is escaped first, so an entity in a label stays literal text
+        report = ImportanceReport(
+            entries=(ImportanceEntry("a<b>&c &amp; d", 0.2, 0.0),), oob_accuracy=0.5
+        )
+        emit_importance_chart(report, tmp_path / "imp.svg")
+        svg = (tmp_path / "imp.svg").read_text()
+        assert 'text-anchor="end">a&lt;b&gt;&amp;c &amp;amp; d</text>' in svg
+
     def test_requires_entries(self, tmp_path):
         with pytest.raises(ValidationError):
             emit_importance_chart(

@@ -99,6 +99,23 @@ class TestMiningCase:
             MiningCase(name="x", consequent=("a", "b"), min_support=SupportSpec.of_count(1),
                        min_confidence=0.5, min_lift=min_lift)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"top_k": 2.5},
+            {"top_k": True},
+            {"top_k": 3.0},
+            {"top_k": "20"},
+            {"max_rule_items": 3.0},
+            {"max_rule_items": True},
+            {"max_rule_items": None},
+        ],
+    )
+    def test_counts_must_be_integers(self, kwargs):
+        with pytest.raises(ValidationError, match=rf"case 'x': {next(iter(kwargs))}"):
+            MiningCase(name="x", consequent=("a", "b"), min_support=SupportSpec.of_count(1),
+                       min_confidence=0.5, **kwargs)
+
     def test_describe_round_trips_thresholds(self):
         case = MiningCase(name="night", consequent=("sev", "fatal"),
                           min_support=SupportSpec.of_fraction(0.004),
