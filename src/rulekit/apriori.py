@@ -10,18 +10,18 @@ A candidate's support is the popcount of the AND of its items' bitmaps in
 the item-major transaction set. A level is extended a chunk of rows at a
 time (join, prune and count together), so the buffers stay bounded however
 many candidates a level has. Output is independent of transaction order and
-of the chunk size.
+of the chunk size, and the result stores each level only as these arrays.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -97,57 +97,62 @@ class SupportSpec:
         return f"fraction>={self.fraction}"
 
 
-@dataclass(frozen=True)
+class _Level(Sequence):
+    """One level's (itemset, support_count) pairs, each built only when read."""
+
+    def __init__(self, items: np.ndarray, counts: np.ndarray) -> None:
+        self._items, self._counts = items, counts
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+    def __getitem__(self, i: int) -> tuple[Itemset, int]:
+        return tuple(self._items[i].tolist()), int(self._counts[i])
+
+    def __iter__(self) -> Iterator[tuple[Itemset, int]]:
+        return zip(map(tuple, self._items.tolist()), self._counts.tolist())
+
+
+@dataclass(frozen=True, eq=False)
 class FrequentItemsets:
     """All itemsets of size <= max_len meeting the resolved support count.
 
     ``levels[k]`` is the miner's sorted ``(m, k)`` array of item ids with its
-    ``(m,)`` array of support counts; the rule stage reads only these.
-    ``by_level[k]`` lists the same (itemset, support_count) pairs as Python
-    tuples, in lexicographic item-id order. A caller that passes only
-    ``by_level`` gets ``levels`` built from it. The lookup behind ``entry``
-    and ``support`` is built on first use. Downward closure holds: every
-    (k-1)-subset of a stored k-itemset is stored too.
+    ``(m,)`` array of support counts, the only stored form of the result.
+    ``by_level[k]`` is a read-only view of the same (itemset, support_count)
+    pairs as Python tuples, in lexicographic item-id order, built as read.
+    ``support`` binary-searches row keys built on first use. Downward
+    closure holds: every (k-1)-subset of a stored k-itemset is stored too.
     """
 
-    by_level: Mapping[int, tuple[tuple[Itemset, int], ...]]
+    levels: Mapping[int, tuple[np.ndarray, np.ndarray]]
     min_support_count: int
     max_len: int
     n_transactions: int
-    levels: Mapping[int, tuple[np.ndarray, np.ndarray]] | None = field(
-        default=None, compare=False, repr=False
-    )
 
-    def __post_init__(self) -> None:
-        if self.levels is None:
-            levels = {
-                k: (np.array([i for i, _ in level], dtype=np.int64).reshape(-1, k),
-                    np.array([c for _, c in level], dtype=np.int64))
-                for k, level in self.by_level.items()
-            }
-            object.__setattr__(self, "levels", levels)
+    @property
+    def by_level(self) -> dict[int, _Level]:
+        return {k: _Level(*self.levels[k]) for k in sorted(self.levels)}
 
     @cached_property
-    def _entries(self) -> dict[Itemset, tuple[Itemset, int]]:
-        return {entry[0]: entry for level in self.by_level.values() for entry in level}
-
-    def entry(self, itemset: Itemset) -> tuple[Itemset, int] | None:
-        """The stored (itemset, support_count) pair, or None if the itemset is
-        not frequent. Its itemset is the sorted tuple that ``by_level`` holds,
-        so callers can keep a reference instead of a copy."""
-        return self._entries.get(tuple(sorted(itemset)))
+    def _keys(self) -> dict[int, np.ndarray]:
+        # keys of int64 rows, so that any queried id compares without wrapping
+        return {k: _row_keys(items.astype(np.int64)) for k, (items, _) in self.levels.items()}
 
     def support(self, itemset: Itemset) -> int | None:
-        """Stored support count of an itemset, or None if it is not frequent."""
-        entry = self.entry(itemset)
-        return None if entry is None else entry[1]
+        """Stored support count of an itemset, in any item order, or None if
+        it is not frequent."""
+        if len(itemset) not in self.levels:
+            return None
+        at, found = _locate(self._keys[len(itemset)], np.sort(np.array([itemset], np.int64)))
+        return int(self.levels[len(itemset)][1][at[0]]) if found[0] else None
 
     def __iter__(self) -> Iterator[tuple[Itemset, int]]:
-        for k in sorted(self.by_level):
-            yield from self.by_level[k]
+        for level in self.by_level.values():
+            yield from level
 
     def __len__(self) -> int:
-        return sum(len(level) for level in self.by_level.values())
+        return sum(len(counts) for _, counts in self.levels.values())
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -267,9 +272,6 @@ def mine_frequent(ts: TransactionSet, min_support: SupportSpec, max_len: int) ->
             threshold,
             n,
         )
-        return FrequentItemsets(
-            by_level={}, min_support_count=threshold, max_len=max_len, n_transactions=n
-        )
 
     n_items = len(ts.universe)
     _, variable = np.unique(
@@ -279,22 +281,16 @@ def mine_frequent(ts: TransactionSet, min_support: SupportSpec, max_len: int) ->
     frequent = counts >= threshold
     level = np.flatnonzero(frequent).astype(np.min_scalar_type(max(n_items - 1, 0)))[:, None]
     counts = counts[frequent]
-    by_level: dict[int, tuple[tuple[Itemset, int], ...]] = {}
     levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     k = 1
     while len(level) and k <= max_len:
         levels[k] = level, counts
-        by_level[k] = tuple(zip(zip(*level.T.tolist()), counts.tolist()))
         if k == max_len:
             break
         level, counts = _next_level(ts, level, variable, threshold)
         k += 1
     return FrequentItemsets(
-        by_level=by_level,
-        min_support_count=threshold,
-        max_len=max_len,
-        n_transactions=n,
-        levels=levels,
+        levels=levels, min_support_count=threshold, max_len=max_len, n_transactions=n
     )
 
 

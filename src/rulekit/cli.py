@@ -224,12 +224,13 @@ def load_config(
     unknown = set(forest_raw) - _FOREST_KEYS
     if unknown:
         raise ValidationError(f"forest has unknown key(s): {', '.join(sorted(unknown))}")
+    forest_seed = _number(forest_raw, "seed", global_seed, int, "forest ")
     forest_cfg = ForestConfig(
         n_trees=_number(forest_raw, "n_trees", 500, int, "forest "),
         mtry=_optional_int(forest_raw, "mtry", "forest "),
         min_node_size=_number(forest_raw, "min_node_size", 1, int, "forest "),
         max_depth=_optional_int(forest_raw, "max_depth", "forest "),
-        seed=_number(forest_raw, "seed", global_seed, int, "forest "),
+        seed=forest_seed if seed is None else seed,  # --seed wins over forest.seed
     )
 
     policy_name = str(raw.get("unknown_policy", "reject")).lower()
@@ -356,7 +357,14 @@ def _describe(cfg: RunConfig, rs: RecordSet, bundle: ReportBundle, out: Path) ->
             row_vars = cfg.crosstab_rows
         else:
             row_vars = tuple(v for v in rs.dictionary.names if v != cfg.response)
-        tables = {var: cross_tabulate(rs, var, cfg.response) for var in row_vars}
+        files: dict[str, str] = {}  # crosstab file stem -> row variable
+        for var in row_vars:
+            clash = files.setdefault(_safe_name(var), var)
+            if clash != var:
+                raise ValidationError(
+                    f"crosstab rows {clash!r} and {var!r} must stay distinct after sanitization"
+                )
+        tables = {stem: cross_tabulate(rs, var, cfg.response) for stem, var in files.items()}
         value_counts = {
             var.name: dict(
                 zip(var.categories, np.bincount(codes, minlength=len(var.categories)).tolist())
@@ -378,8 +386,8 @@ def _describe(cfg: RunConfig, rs: RecordSet, bundle: ReportBundle, out: Path) ->
                 "value_counts": value_counts,
             },
         )
-        for var in row_vars:
-            bundle.add(*emit_crosstab(tables[var], out / f"crosstab_{_safe_name(var)}.csv"))
+        for stem, table in tables.items():
+            bundle.add(*emit_crosstab(table, out / f"crosstab_{stem}.csv"))
 
 
 def _select_vars(
@@ -574,7 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="accepted and checked (default: RULEKIT_THREADS or 1); has no effect",
         )
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=int, default=None, help="override seed and forest.seed")
         p.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     return parser
 

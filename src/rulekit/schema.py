@@ -464,13 +464,8 @@ class FilterStep:
         return f"{self.variable} in {{{', '.join(sorted(self.keep))}}}"
 
 
-def load_filter_steps(source: str | Path | Sequence) -> tuple[FilterStep, ...]:
-    """Parse filter steps from a JSON array ``[{variable, keep: [...]}]``."""
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = source
+def load_filter_steps(doc: object) -> tuple[FilterStep, ...]:
+    """Filter steps from a parsed JSON array ``[{variable, keep: [...]}]``."""
     if not isinstance(doc, (list, tuple)):
         raise ValidationError(f"'filter_steps' must be an array of steps, got {doc!r}")
     steps = []

@@ -276,10 +276,15 @@ def reference_mine_frequent(
     ts: TransactionSet, min_support: SupportSpec, max_len: int
 ) -> FrequentItemsets:
     """Level-wise Apriori one candidate at a time: the tuple join above and
-    one ``support_count`` call per candidate."""
+    one ``support_count`` call per candidate.
+
+    Its level arrays are int64, unlike the miner's narrowest unsigned type,
+    so rows of two or more items are wider than 8 bytes and rule generation
+    over them searches byte-string keys.
+    """
     n = ts.n_transactions
     threshold = min_support.resolve(n)
-    by_level: dict[int, tuple[tuple[tuple[int, ...], int], ...]] = {}
+    levels: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     level = [
         ((i,), c)
         for i in range(len(ts.universe))
@@ -287,7 +292,10 @@ def reference_mine_frequent(
     ]
     k = 1
     while level and k <= max_len:
-        by_level[k] = tuple(level)
+        levels[k] = (
+            np.array([iset for iset, _ in level], dtype=np.int64).reshape(-1, k),
+            np.array([c for _, c in level], dtype=np.int64),
+        )
         if k == max_len:
             break
         candidates = reference_join_candidates(
@@ -297,7 +305,7 @@ def reference_mine_frequent(
         level = sorted((c, n_c) for c, n_c in zip(candidates, counts) if n_c >= threshold)
         k += 1
     return FrequentItemsets(
-        by_level=by_level, min_support_count=threshold, max_len=max_len, n_transactions=n
+        levels=levels, min_support_count=threshold, max_len=max_len, n_transactions=n
     )
 
 

@@ -1,8 +1,10 @@
 """Support thresholds and level-wise frequent itemset mining."""
 
+import csv
 import logging
 import math
 import random
+import tempfile
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,6 +25,7 @@ from generators import (
 from rulekit import parallel, transactions
 from rulekit.apriori import FrequentItemsets, SupportSpec, dump_itemsets, mine_frequent
 from rulekit.errors import ValidationError
+from rulekit.rules import MiningCase, generate_rules, run_case
 from rulekit.transactions import encode, support_count
 
 
@@ -111,15 +114,29 @@ def test_mine_frequent_hand_worked(tiny_ts):
     assert dict(freq.by_level.get(2, ())) == {tuple(sorted((a1, b1))): 2}
     assert freq.support((b1, a1)) == 2  # order-insensitive lookup
     assert freq.support((b2,)) is None
+    assert freq.support((a1 + 256,)) is None  # would wrap to a1 in the uint8 level
+    assert freq.support((a1, b1, b2)) is None and freq.support(()) is None  # no such level
 
 
-def test_entry_is_the_stored_pair(tiny_ts):
-    freq = mine_frequent(tiny_ts, SupportSpec.of_count(1), max_len=2)
-    assert "_entries" not in vars(freq)  # the lookup is built on first use
-    for entries in freq.by_level.values():
-        for entry in entries:
-            assert freq.entry(tuple(reversed(entry[0]))) is entry
-    assert freq.entry((0, 1, 2)) is None
+def test_mining_and_rule_generation_build_no_pairs(monkeypatch):
+    """The pipeline reads only the level arrays: mining, rule generation,
+    ``run_case`` and the lengths a benchmark trace reads build no
+    (itemset, count) pair."""
+
+    def build(*args):
+        raise AssertionError("an (itemset, count) pair was built")
+
+    monkeypatch.setattr(apriori._Level, "__getitem__", build)
+    monkeypatch.setattr(apriori._Level, "__iter__", build)
+    rs = random_record_set(random.Random(7), max_items=16, max_transactions=96)
+    ts = encode(rs, list(rs.dictionary.names))
+    case = MiningCase(name="all", consequent=None, min_support=SupportSpec.of_count(2),
+                      min_confidence=0.1, min_lift=0.0)
+    freq = mine_frequent(ts, case.min_support, 4)
+    assert len(generate_rules(freq, ts, case)) == run_case(ts, case).rules_generated > 0
+    assert len(freq) == sum(len(level) for level in freq.by_level.values()) > 0
+    assert max(freq.by_level) >= 3
+    assert "_keys" not in vars(freq)  # the support lookup is built on first use
 
 
 def test_min_len_validation(tiny_ts):
@@ -185,16 +202,43 @@ def test_dump_itemsets_csv(tmp_path, tiny_ts):
     assert any("a=a1 b=b1" in line for line in lines)
 
 
-def _assert_same_levels(got: FrequentItemsets, want: FrequentItemsets) -> None:
-    assert got.by_level == want.by_level
-    for entries in got.by_level.values():
-        for itemset, count in entries:
-            assert type(count) is int
-            assert all(type(item) is int for item in itemset)
-    # the miner's level arrays equal those built from the reference's tuples
+def _assert_same_levels(got: FrequentItemsets, want: FrequentItemsets, ts) -> None:
+    """The miner's result equals the reference's through every reader:
+    level arrays, ``by_level`` views, iteration, ``len``, ``support`` and
+    ``dump_itemsets``."""
     assert got.levels.keys() == want.levels.keys()
     for k, (items, counts) in got.levels.items():
         assert (items == want.levels[k][0]).all() and (counts == want.levels[k][1]).all()
+    pairs = {k: list(level) for k, level in want.by_level.items()}
+    assert {k: list(level) for k, level in got.by_level.items()} == pairs
+    assert {k: len(level) for k, level in got.by_level.items()} == {
+        k: len(level) for k, level in pairs.items()
+    }
+    flat = [pair for level in pairs.values() for pair in level]
+    assert list(got) == flat and len(got) == len(want) == len(flat)
+    for itemset, count in flat:
+        assert type(count) is int
+        assert all(type(item) is int for item in itemset)
+    for k, level in got.by_level.items():
+        assert level[0] == pairs[k][0] and level[-1] == pairs[k][-1]
+    # support: every stored itemset in reverse order, each one-item change
+    # that is not frequent, and a length with no level
+    frequent = dict(flat)
+    for itemset, count in flat:
+        assert got.support(itemset[::-1]) == count
+        for item in range(len(ts.universe)):
+            changed = tuple(sorted({*itemset[:-1], item}))
+            if len(changed) == len(itemset):
+                assert got.support(changed) == frequent.get(changed)
+    assert got.support(tuple(range(max(got.levels, default=0) + 1))) is None
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(dump_itemsets(got, ts, f"{tmp}/itemsets.csv"), newline="") as fh:
+            rows = list(csv.reader(fh))
+    assert rows[1:] == [
+        [str(len(itemset)), " ".join(map(ts.universe.token, itemset)), str(count),
+         repr(count / want.n_transactions)]
+        for itemset, count in flat
+    ]
 
 
 @settings(max_examples=40, deadline=None)
@@ -204,7 +248,7 @@ def test_matches_reference_miner(seed, min_count, max_len):
     ts = encode(rs, list(rs.dictionary.names))
     support = SupportSpec.of_count(min_count)
     _assert_same_levels(
-        mine_frequent(ts, support, max_len), reference_mine_frequent(ts, support, max_len)
+        mine_frequent(ts, support, max_len), reference_mine_frequent(ts, support, max_len), ts
     )
 
 
@@ -216,7 +260,9 @@ def test_chunk_size_does_not_change_result(monkeypatch, chunk):
         ts = encode(rs, list(rs.dictionary.names))
         monkeypatch.setattr(apriori, "_CHUNK_WORDS", chunk * ts.bitmaps.shape[1])
         support = SupportSpec.of_count(2)
-        _assert_same_levels(mine_frequent(ts, support, 4), reference_mine_frequent(ts, support, 4))
+        _assert_same_levels(
+            mine_frequent(ts, support, 4), reference_mine_frequent(ts, support, 4), ts
+        )
 
 
 @settings(max_examples=30, deadline=None)

@@ -153,6 +153,32 @@ class TestDescribe:
         assert totals["dark"] == 3394
         assert totals["total"] == 7568
 
+    @pytest.mark.parametrize("command", ["describe", "pipeline"])
+    def test_row_variables_that_share_a_file_name_are_refused(self, tmp_path, capsys, command):
+        # both names sanitize to crosstab_road_surface.csv
+        dictionary = {
+            "version": "t",
+            "variables": [
+                {"name": "lighting", "categories": ["daylight", "dark"]},
+                {"name": "road_surface", "categories": ["wet", "dry"]},
+                {"name": "road/surface", "categories": ["wet", "dry"]},
+            ],
+        }
+        (tmp_path / "dictionary.json").write_text(json.dumps(dictionary))
+        rows = [("daylight", "wet", "dry"), ("dark", "dry", "wet")] * 10
+        (tmp_path / "data.csv").write_text(
+            "crash_number,lighting,road_surface,road/surface\n"
+            + "".join(f"{i},{a},{b},{c}\n" for i, (a, b, c) in enumerate(rows))
+        )
+        config = {**BASE_CONFIG, "cases": [{"name": "wet", "consequent": "road_surface=wet",
+                                             "min_support": 0.05, "min_confidence": 0.5}]}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main([command, "--config", str(tmp_path / "config.json")]) == 2
+        err = capsys.readouterr().err
+        assert "failed in stage 'describe'" in err
+        assert "'road_surface'" in err and "'road/surface'" in err
+        assert list((tmp_path / "out").iterdir()) == []
+
 
 class TestConfigErrors:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -396,6 +422,32 @@ class TestThreadsAndSeed:
         b = json.loads((b_dir / "manifest.json").read_text())
         assert a["config_hash"] != b["config_hash"]
         assert a["dataset_hash"] == b["dataset_hash"]
+
+    def test_seed_override_reaches_a_configured_forest_seed(self, tmp_path):
+        config = {**BASE_CONFIG, "forest": {**BASE_CONFIG["forest"], "seed": 3}}
+        cfg = write_workspace(tmp_path, config)
+        for seed in ("1", "2"):
+            args = ["select-vars", "--config", str(cfg), "--out", str(tmp_path / seed)]
+            assert main([*args, "--seed", seed]) == 0
+        # --seed 2 runs as a config whose seed and forest seed are both 2
+        both = {**config, "seed": 2, "forest": {**config["forest"], "seed": 2}}
+        (tmp_path / "both.json").write_text(json.dumps(both))
+        assert main(["select-vars", "--config", str(tmp_path / "both.json"),
+                     "--out", str(tmp_path / "both")]) == 0
+
+        def read(out: str, name: str) -> bytes:
+            return (tmp_path / out / name).read_bytes()
+
+        assert read("1", "importance.json") != read("2", "importance.json")
+        assert read("2", "importance.json") == read("both", "importance.json")
+        hashes = {json.loads(read(d, "manifest.json"))["config_hash"] for d in ("2", "both")}
+        assert len(hashes) == 1
+
+    def test_seed_override_still_checks_the_forest_seed(self, tmp_path, capsys):
+        config = {**BASE_CONFIG, "forest": {**BASE_CONFIG["forest"], "seed": "3"}}
+        cfg = write_workspace(tmp_path, config)
+        assert main(["describe", "--config", str(cfg), "--seed", "1"]) == 2
+        assert "seed" in capsys.readouterr().err
 
 
 class TestPipeline:

@@ -163,9 +163,10 @@ class TestGenerateRules:
                           min_confidence=0.01, min_lift=0.0)
         ts, freq = _mine_case(rs, case)
         y = ts.universe.item_id(*consequent)
-        singles = tuple(entry for entry in freq.by_level[1] if entry[0] == (y,))
+        items, counts = freq.levels[1]
+        single = items[:, 0] == y
         gapped = FrequentItemsets(
-            by_level={**freq.by_level, 1: singles},
+            levels={**freq.levels, 1: (items[single], counts[single])},
             min_support_count=1,
             max_len=freq.max_len,
             n_transactions=freq.n_transactions,
@@ -208,8 +209,9 @@ class TestGenerateRules:
         got = generate_rules(freq, ts, case)
         want = reference_generate_rules(freq, ts, case)
         assert got == want
-        # levels built from by_level alone: int64 rows, byte-string keys from k = 2
+        # the reference's int64 level arrays: byte-string keys from k = 2
         ref_freq = reference_mine_frequent(ts, case.min_support, 4)
+        assert all(items.dtype == np.int64 for items, _ in ref_freq.levels.values())
         assert generate_rules(ref_freq, ts, case) == want
         # the table's prune and rank against the per-consequent references
         want_kept = [

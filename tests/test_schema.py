@@ -385,6 +385,13 @@ class TestFilter:
         with pytest.raises(ValidationError, match="'keep' must be an array of strings"):
             load_filter_steps([{"variable": "lighting", "keep": keep}])
 
+    def test_steps_are_a_parsed_array_not_a_path(self, tmp_path):
+        path = tmp_path / "filters.json"
+        path.write_text("{not json")
+        for doc in (str(path), path, {"variable": "lighting"}, None):
+            with pytest.raises(ValidationError, match="must be an array of steps"):
+                load_filter_steps(doc)
+
     def test_filter_to_empty_is_allowed(self, weather_dict):
         rs = make_records(weather_dict, [{"weather": "clear", "road": "dry"}])
         out = filter_records(rs, (FilterStep("road", frozenset({"wet"})),))
