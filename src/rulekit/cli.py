@@ -246,11 +246,18 @@ def load_config(
         raise ValidationError("'cases' must be an array")
     cases = tuple(_parse_case(entry, i) for i, entry in enumerate(cases_raw))
     names = [c.name for c in cases]
-    if len(set(names)) != len(names):
-        raise ValidationError("case names must be distinct")
-    stems = [_safe_name(name) for name in names]
-    if len(set(stems)) != len(stems):
-        raise ValidationError("case names must stay distinct after sanitization")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValidationError(
+            f"case names must be distinct; repeated: {', '.join(map(repr, repeated))}"
+        )
+    stems: dict[str, str] = {}  # artifact file stem -> case name
+    for name in names:
+        clash = stems.setdefault(_safe_name(name), name)
+        if clash != name:
+            raise ValidationError(
+                f"cases {clash!r} and {name!r} must stay distinct after sanitization"
+            )
 
     features = _optional_names(raw, "features")
     if features is not None and not features:

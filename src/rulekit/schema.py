@@ -7,7 +7,8 @@ one category per variable, and "unknown" is an ordinary category that is
 never dropped silently. All types are immutable after construction.
 
 A RecordSet stores its records in columnar form only: the record ids plus
-one read-only category-code matrix that every later stage reads. Ingest, the
+one read-only category-code matrix that every later stage reads. Ingest
+(which holds one chunk of CSV rows at a time, besides the ids and codes), the
 RecordSet constructor and filter steps turn category strings into codes
 through one helper, and filtering slices the matrix. ``RecordSet.records``
 is a view of per-row ``Record``s, built from the codes on first access.
@@ -21,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -334,6 +335,10 @@ class RecordSet:
         return len(self.record_ids)
 
 
+#: Records that ingest reads, checks and encodes at a time.
+_CHUNK_RECORDS = 1024
+
+
 def _open_source(source: str | Path | IO[str]) -> tuple[IO[str], bool]:
     if isinstance(source, (str, Path)):
         return open(source, encoding="utf-8-sig", newline=""), True
@@ -355,7 +360,8 @@ def ingest(
     cells are blank. Missing values become "unknown" when the variable
     declares that category, otherwise the row is rejected. Out-of-dictionary
     values are rejected under REJECT and coerced to "unknown" (when present)
-    under COERCE. An error names the first bad row by its line number.
+    under COERCE. An error names the first bad row (or unparsable record) by
+    its line number. Ingest holds one chunk of rows, not the file, at a time.
     """
     fh, owns = _open_source(source)
     try:
@@ -374,38 +380,52 @@ def ingest(
         if missing:
             raise IngestError(f"missing column(s): {', '.join(sorted(missing))}")
 
-        # Errors name a row by its last line, which blank lines and quoted
-        # newlines set apart from its index.
-        rows: list[list[str]] = []
-        lines: list[int] = []
-        for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(reader.line_num)
+        def column(rows: list[list[str]], index: int) -> list[str]:
+            return list(map(str.strip, map(itemgetter(index), rows)))
+
+        id_index = position[id_column]
+        columns = [(var, position[var.name]) for var in dictionary.variables]
+        record_ids: list[str] = []  # of the chunks accepted so far
+        seen_ids: set[str] = set()
+        blocks: list[np.ndarray] = []
+        records = filter(None, reader)  # blank lines are skipped
+        while True:
+            # Errors name a row by its last line; blank lines and quoted newlines skew its index.
+            rows, lines, malformed = [], [], None
+            try:
+                for row in islice(records, _CHUNK_RECORDS):
+                    rows.append(row)
+                    lines.append(reader.line_num)
+            except csv.Error as exc:
+                malformed = exc  # raised after any bad row before it
+            if min(map(len, rows), default=len(header)) < len(header):
+                rows = [row + [""] * (len(header) - len(row)) for row in rows]
+            ids = column(rows, id_index)
+            block = _empty_codes(dictionary, len(rows))
+            try:
+                for codes, (var, index) in zip(block, columns):
+                    codes[:] = _category_codes(var, column(rows, index), codes.dtype, policy)
+            except KeyError:
+                accepted = False
+            else:
+                seen_ids.update(ids)
+                accepted = all(ids) and len(seen_ids) == len(record_ids) + len(ids)
+            if not accepted:
+                raise _first_bad_row(rows, lines, id_index, columns, policy, set(record_ids))
+            record_ids += ids
+            blocks.append(block)
+            if malformed is not None:
+                raise malformed
+            if len(rows) < _CHUNK_RECORDS:
+                break
+    except csv.Error as exc:
+        raise IngestError(f"row {reader.line_num}: {exc}") from None
     finally:
         if owns:
             fh.close()
-    if not rows:
+    if not record_ids:
         raise IngestError("empty input: record stream has no data rows")
-    if min(map(len, rows)) < len(header):
-        rows = [row + [""] * (len(header) - len(row)) for row in rows]
-
-    def column(name: str) -> list[str]:
-        return list(map(str.strip, map(itemgetter(position[name]), rows)))
-
-    record_ids = column(id_column)
-    codes = _empty_codes(dictionary, len(rows))
-    try:
-        for row, var in zip(codes, dictionary.variables):
-            row[:] = _category_codes(var, column(var.name), row.dtype, policy)
-    except KeyError:
-        accepted = False
-    else:
-        accepted = all(record_ids) and len(set(record_ids)) == len(record_ids)
-    if not accepted:
-        columns = [(var, position[var.name]) for var in dictionary.variables]
-        raise _first_bad_row(rows, lines, position[id_column], columns, policy)
-    return RecordSet._of_codes(dictionary, tuple(record_ids), codes)
+    return RecordSet._of_codes(dictionary, tuple(record_ids), np.concatenate(blocks, axis=1))
 
 
 def _first_bad_row(
@@ -414,10 +434,10 @@ def _first_bad_row(
     id_column: int,
     columns: Sequence[tuple[VariableSchema, int]],
     policy: UnknownPolicy,
+    seen_ids: set[str],
 ) -> IngestError:
-    """The error for the first row, in row order, that ingest cannot accept."""
+    """The error for the first row that ingest cannot accept, after ``seen_ids``."""
     coerce = policy is UnknownPolicy.COERCE
-    seen_ids: set[str] = set()
     for row, line in zip(rows, lines):
         rid = row[id_column].strip()
         if not rid:

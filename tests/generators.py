@@ -11,6 +11,7 @@ correctly rounded double of the exact ratio".
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 import random
@@ -28,8 +29,19 @@ from rulekit.forest import (
     TreeNode,
     best_partition,
 )
+from rulekit.errors import IngestError
 from rulekit.rules import MiningCase, Rule, score
-from rulekit.schema import CrossTab, DataDictionary, Record, RecordSet, VariableSchema
+from rulekit.schema import (
+    DEFAULT_RECORD_ID_COLUMN,
+    CrossTab,
+    DataDictionary,
+    Record,
+    RecordSet,
+    UnknownPolicy,
+    VariableSchema,
+    _open_source,
+    normalize_name,
+)
 from rulekit.transactions import TransactionSet, support_count
 
 Item = tuple[str, str]
@@ -411,6 +423,77 @@ def reference_encode(
         index = {c: i for i, c in enumerate(dictionary.variable(name).categories)}
         cols.append([index[row[name]] for row in rows])
     return np.array(cols, dtype=np.int64).transpose().copy()
+
+
+def reference_ingest(
+    source,
+    dictionary: DataDictionary,
+    policy: UnknownPolicy = UnknownPolicy.REJECT,
+    record_id_column: str = DEFAULT_RECORD_ID_COLUMN,
+) -> RecordSet:
+    """``schema.ingest`` over the whole file, one row at a time: every row is
+    read first, then each is checked in turn and the first bad one raised. A
+    record the parser cannot read ends the read and is raised after the rows
+    before it are checked."""
+    fh, owns = _open_source(source)
+    header = malformed = None
+    rows: list[list[str]] = []
+    lines: list[int] = []
+    try:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            for row in reader:
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
+        except csv.Error as exc:
+            malformed = IngestError(f"row {reader.line_num}: {exc}")
+    finally:
+        if owns:
+            fh.close()
+    if header is None:
+        raise malformed or IngestError("empty input: record stream has no header")
+    position: dict[str, int] = {}
+    for i, col in enumerate(header):
+        norm = normalize_name(col)
+        if norm in position:
+            raise IngestError(f"duplicate column {norm!r} in header")
+        position[norm] = i
+    id_column = normalize_name(record_id_column)
+    missing = [v for v in (*dictionary.names, id_column) if v not in position]
+    if missing:
+        raise IngestError(f"missing column(s): {', '.join(sorted(missing))}")
+
+    coerce = policy is UnknownPolicy.COERCE
+    seen_ids: set[str] = set()
+    records = []
+    for row, line in zip(rows, lines):
+        row = row + [""] * (len(header) - len(row))
+        rid = row[position[id_column]].strip()
+        if not rid:
+            raise IngestError(f"row {line}: empty record id")
+        if rid in seen_ids:
+            raise IngestError(f"row {line}: duplicate record_id {rid!r}")
+        seen_ids.add(rid)
+        cells = {}
+        for var in dictionary.variables:
+            val = row[position[var.name]].strip()
+            has_unknown = "unknown" in var.categories
+            if not val and not has_unknown:
+                raise IngestError(
+                    f"row {line}: missing value for {var.name!r} and the variable "
+                    f"declares no 'unknown' category"
+                )
+            if val and val not in var.categories and not (coerce and has_unknown):
+                raise IngestError(f"row {line}: value {val!r} is not a category of {var.name!r}")
+            cells[var.name] = val if val in var.categories else "unknown"
+        records.append(Record(rid, cells))
+    if malformed is not None:
+        raise malformed
+    if not records:
+        raise IngestError("empty input: record stream has no data rows")
+    return RecordSet(dictionary, records)
 
 
 def reference_cross_tabulate(rs: RecordSet, row_var: str, col_var: str) -> CrossTab:

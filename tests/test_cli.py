@@ -223,6 +223,18 @@ class TestConfigErrors:
                 "distinct",
             ),
             (
+                lambda c: c.update(
+                    {"cases": [dict(c["cases"][0], name=name) for name in "abab"]}
+                ),
+                "case names must be distinct; repeated: 'a', 'b'",
+            ),
+            (
+                lambda c: c.update(
+                    {"cases": [dict(c["cases"][0], name=n) for n in ("wet roads", "wet/roads")]}
+                ),
+                "cases 'wet roads' and 'wet/roads' must stay distinct after sanitization",
+            ),
+            (
                 lambda c: c.update({"features": "weather"}),
                 "'features' must be an array of strings",
             ),
@@ -285,6 +297,13 @@ class TestConfigErrors:
         cfg = write_workspace(tmp_path, config)
         assert main(["describe", "--config", str(cfg)]) == 2
         assert f"'{key}'" in capsys.readouterr().err
+
+    def test_unparsable_record_exits_2_naming_its_row(self, tmp_path, capsys):
+        cfg = write_workspace(tmp_path)
+        with open(tmp_path / "data.csv", "a", newline="") as fh:
+            fh.write('C99999,daylight,"' + "x" * 200_000 + '",clear,dry\r\n')
+        assert main(["describe", "--config", str(cfg)]) == 2
+        assert "row 42: field larger than field limit" in capsys.readouterr().err
 
     def test_out_dir_that_is_a_file(self, tmp_path, capsys):
         cfg = write_workspace(tmp_path)

@@ -1,8 +1,10 @@
 """Dictionary, ingestion, filtering, and cross-tabulation behavior."""
 
+import csv
 import io
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from generators import (
     random_rows,
     reference_cross_tabulate,
     reference_encode,
+    reference_ingest,
 )
+from rulekit import schema
 from rulekit.errors import DictionaryError, IngestError, ValidationError
 from rulekit.schema import (
     DataDictionary,
@@ -288,6 +292,143 @@ class TestIngest:
         path.write_bytes("crash_number,weather,road\n1,clear,dry\n".encode("utf-8-sig"))
         rs = ingest(path, weather_dict)
         assert rs.records[0].record_id == "1"
+
+    def test_unparsable_record_names_its_row(self, weather_dict):
+        huge = '"' + "x" * 200_000 + '"'
+        header = "crash_number,weather,road,notes\n"
+        text = header + f"1,clear,dry,x\n\n2,rain,wet,{huge}\n3,rain,wet,x\n"
+        with pytest.raises(IngestError, match=r"^row 4: field larger than field limit"):
+            ingest(_csv(text), weather_dict)
+        with pytest.raises(IngestError, match=r"^row 1: field larger than field limit"):
+            ingest(_csv(f"crash_number,weather,road,{huge}\n1,clear,dry,x\n"), weather_dict)
+        # a bad row before the unparsable record is the first bad row
+        with pytest.raises(IngestError, match=r"^row 2: value 'sleet'"):
+            ingest(_csv(header + f"1,sleet,dry,x\n2,rain,wet,{huge}\n"), weather_dict)
+
+
+def _random_csv(rng: random.Random, chunk: int):
+    """A random CSV for ``ingest``: its text, dictionary and policy.
+
+    The files hold blank lines (a tail of them too), quoted newlines, short
+    and long rows, padded cells and header names that normalize, and are
+    about k * chunk + {-1, 0, 1} records long. Up to two bad rows are
+    planted, often beside a chunk boundary: an unknown or missing value, an
+    empty or duplicate id (its twin often in the chunk before), or a cell
+    over the CSV field limit of 40 characters.
+    """
+    spec = {}
+    for i in range(rng.randint(1, 3)):
+        cats = [f"c{i}_{j}" for j in range(rng.randint(2, 4))]
+        spec[f"v{i}"] = cats + ["unknown"] * (rng.random() < 0.5)
+    dictionary = make_dictionary(spec)
+    columns = ["crash_number", *spec, "notes"]
+    rng.shuffle(columns)
+    # cells a short row may leave off: missing there is a clean "unknown"
+    optional = {"notes"} | {name for name, cats in spec.items() if "unknown" in cats}
+    if rng.random() < 0.9:
+        n = chunk * rng.randint(1, 3) + rng.randint(-1, 1)
+    else:
+        n = rng.randint(0, 1)
+    rows = []
+    for i in range(n):
+        cells = {"crash_number": f"r{i}", "notes": rng.choice(("", "x", "two\nlines", "a,b"))}
+        cells.update((name, rng.choice(cats)) for name, cats in spec.items())
+        row = [cells[c] for c in columns]
+        if rng.random() < 0.1:
+            k = rng.randrange(len(row))
+            row[k] = rng.choice((" ", "\t", "  ")) + row[k] + rng.choice(("", " ", "\t"))
+        if rng.random() < 0.1:
+            keep = len(row)
+            while keep > 1 and columns[keep - 1] in optional:
+                keep -= 1
+            row = row[: rng.randint(keep, len(row))]
+        elif rng.random() < 0.1:
+            row += ["extra"] * rng.randint(1, 2)
+        rows.append(row)
+
+    edges = [b + d for b in range(chunk, n + 1, chunk) for d in (-1, 0, 1) if 0 <= b + d < n]
+    for _ in range(rng.choice((0, 0, 1, 2)) if rows else 0):
+        at = rng.choice(edges) if edges and rng.random() < 0.7 else rng.randrange(n)
+        row = rows[at] + [""] * (len(columns) - len(rows[at]))
+        kind = rng.choice(("value", "missing", "empty id", "duplicate id", "unparsable"))
+        if kind == "value":
+            row[columns.index(rng.choice(list(spec)))] = "sleet"
+        elif kind == "missing":
+            row[columns.index(rng.choice(list(spec)))] = " "
+        elif kind == "empty id":
+            row[columns.index("crash_number")] = ""
+        elif kind == "duplicate id" and at > 0:
+            twin = rng.choice([max(0, at - chunk), at - 1, rng.randrange(at)])
+            row[columns.index("crash_number")] = f" r{twin}"
+        elif kind == "unparsable":
+            row[columns.index("notes")] = "y" * 41
+        rows[at] = row
+
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow([rng.choice((c, c.upper(), f" {c} ")) for c in columns])
+    for row in rows:
+        writer.writerows([[]] * (rng.random() < 0.05))
+        writer.writerow(row)
+    writer.writerows([[]] * rng.choice((0, 0, 1, 3)))
+    policy = rng.choice((UnknownPolicy.REJECT, UnknownPolicy.COERCE))
+    return out.getvalue(), dictionary, policy
+
+
+def _ingest_outcome(ingest_fn, text, bom, dictionary, policy, tmp_dir):
+    if bom:
+        source = tmp_dir / "records.csv"
+        source.write_bytes(text.encode("utf-8-sig"))
+    else:
+        source = io.StringIO(text)
+    try:
+        return ingest_fn(source, dictionary, policy)
+    except IngestError as exc:
+        return f"IngestError: {exc}"
+
+
+class TestStreamingIngest:
+    @pytest.mark.parametrize("chunk", [1, 2, 3, schema._CHUNK_RECORDS])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_whole_file_reference(self, chunk, seed, tmp_path_factory):
+        rng = random.Random(seed)
+        text, dictionary, policy = _random_csv(rng, chunk)
+        bom = rng.random() < 0.3
+        tmp_dir = tmp_path_factory.mktemp("ingest") if bom else None
+        limit = csv.field_size_limit(40)
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(schema, "_CHUNK_RECORDS", chunk)
+                got = _ingest_outcome(ingest, text, bom, dictionary, policy, tmp_dir)
+            want = _ingest_outcome(reference_ingest, text, bom, dictionary, policy, tmp_dir)
+        finally:
+            csv.field_size_limit(limit)
+        assert got == want
+        if isinstance(want, RecordSet):
+            assert got.codes.dtype == want.codes.dtype
+            assert got.codes.flags.c_contiguous and not got.codes.flags.writeable
+
+    def test_peak_memory_is_one_chunk_plus_the_result(self, tmp_path):
+        n = 20_000
+        dictionary = make_dictionary(
+            {f"v{i:02d}": tuple(f"c{j}" for j in range(6)) for i in range(13)}
+        )
+        rng = random.Random(7)
+        path = tmp_path / "tall.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["crash_number", *dictionary.names])
+            for r in range(n):
+                writer.writerow([f"R{r + 1:06d}", *(f"c{rng.randrange(6)}" for _ in range(13))])
+        tracemalloc.start()
+        try:
+            rs = ingest(path, dictionary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rs) == n
+        assert peak / n < 300, f"{peak / n:.0f} B/row"
 
 
 def test_write_records_round_trip(tmp_path, weather_dict):
