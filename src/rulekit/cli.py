@@ -2,11 +2,14 @@
 
 A single JSON run configuration drives everything; flags only pick the
 command, the config, and cheap overrides (output directory, seed).
-Exit codes: 0 on success, 2 for configuration or validation problems, 1 for
-runtime and I/O failures. Error messages on stderr name the failing stage.
+``load_config`` maps the config's ``forest`` object and each of its cases
+onto ``ForestConfig`` and ``MiningCase`` by field name; those classes own
+their defaults and checks. Exit codes: 0 on success, 2 for configuration or
+validation problems, 1 for runtime and I/O failures. Error messages on
+stderr name the failing stage.
 
-``--threads`` (or RULEKIT_THREADS) is still parsed and checked, a value
-below 1 exiting 2, but nothing reads it: every stage runs on one thread.
+``--threads`` is still parsed and checked, a value below 1 exiting 2, but
+nothing reads it: every stage runs on one thread.
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ import contextlib
 import hashlib
 import json
 import logging
-import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -68,15 +70,10 @@ _CONFIG_KEYS = {
     "crosstab_rows",
     "full_universe",
 }
-_FOREST_KEYS = {"n_trees", "mtry", "min_node_size", "max_depth", "seed"}
-_CASE_KEYS = {
-    "name",
-    "consequent",
-    "min_support",
-    "min_confidence",
-    "min_lift",
-    "max_rule_items",
-    "top_k",
+# Readers of the fields whose JSON form is not the stored value.
+_READERS = {
+    "consequent": lambda token: None if token is None else parse_item_token(str(token)),
+    "min_support": SupportSpec.parse,
 }
 
 
@@ -93,7 +90,6 @@ class RunConfig:
     forest: ForestConfig
     cases: tuple[MiningCase, ...]
     output_dir: Path
-    seed: int
     crosstab_rows: tuple[str, ...] | None
     full_universe: bool
 
@@ -122,46 +118,30 @@ def _stage(name: str) -> Iterator[None]:
         raise CliFailure(name, f"{type(exc).__name__}: {exc}", 1) from exc
 
 
-def _number(raw: Mapping, key: str, default: object, kind: type = int, where: str = ""):
-    """``raw[key]`` (else ``default``) as a JSON number of ``kind``: int, or float.
+def _from_json(cls: type, raw: object, where: str, **fixed: object):
+    """``cls`` built from the JSON object ``raw``, whose keys are its field names.
 
-    A bool, a string, null or (for ``int``) a fraction is refused, naming the key.
+    The fields in ``fixed`` are not settable from ``raw``. An unknown key, or a
+    missing one whose field has no default, is refused naming ``where``; ``cls``
+    checks the values.
     """
-    value = raw.get(key, default)
-    allowed = (int,) if kind is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        noun = "an integer" if kind is int else "a number"
-        raise ValidationError(f"{where}{key!r} must be {noun}, got {value!r}")
-    return kind(value)
-
-
-def _optional_int(raw: Mapping, key: str, where: str = "") -> int | None:
-    return None if raw.get(key) is None else _number(raw, key, None, int, where)
+    if not isinstance(raw, Mapping):
+        raise ValidationError(f"{where} must be an object")
+    settable = [f for f in fields(cls) if f.name not in fixed]
+    unknown = set(raw) - {f.name for f in settable}
+    if unknown:
+        raise ValidationError(f"{where} has unknown key(s): {', '.join(sorted(unknown))}")
+    for f in settable:
+        if f.name not in raw and f.default is MISSING:
+            raise ValidationError(f"{where} is missing {f.name!r}")
+    values = {k: _READERS[k](v) if k in _READERS else v for k, v in raw.items()}
+    return cls(**values, **fixed)
 
 
 def _parse_case(entry: object, index: int) -> MiningCase:
-    if not isinstance(entry, Mapping):
-        raise ValidationError(f"cases[{index}] must be an object")
-    unknown = set(entry) - _CASE_KEYS
-    if unknown:
-        raise ValidationError(
-            f"cases[{index}] has unknown key(s): {', '.join(sorted(unknown))}"
-        )
-    for key in ("name", "min_support", "min_confidence"):
-        if key not in entry:
-            raise ValidationError(f"cases[{index}] is missing {key!r}")
-    consequent = entry.get("consequent")
-    item = parse_item_token(str(consequent)) if consequent is not None else None
-    where = f"cases[{index}] "
-    return MiningCase(
-        name=str(entry["name"]),
-        consequent=item,
-        min_support=SupportSpec.parse(entry["min_support"]),
-        min_confidence=_number(entry, "min_confidence", None, float, where),
-        min_lift=_number(entry, "min_lift", 1.1, float, where),
-        max_rule_items=_number(entry, "max_rule_items", 4, int, where),
-        top_k=_number(entry, "top_k", 20, int, where),
-    )
+    if isinstance(entry, Mapping) and "consequent" not in entry:
+        entry = {**entry, "consequent": None}  # unconstrained: every item is tried
+    return _from_json(MiningCase, entry, f"cases[{index}]")
 
 
 def _names(value: object, what: str) -> tuple[str, ...]:
@@ -194,7 +174,7 @@ def load_config(
         raise ValidationError(f"config path {path} does not exist")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")
@@ -217,21 +197,9 @@ def load_config(
         if not p.exists():
             raise ValidationError(f"referenced path {p} does not exist")
 
-    global_seed = seed if seed is not None else _number(raw, "seed", 0)
-    forest_raw = raw.get("forest", {})
-    if not isinstance(forest_raw, Mapping):
-        raise ValidationError("'forest' must be an object")
-    unknown = set(forest_raw) - _FOREST_KEYS
-    if unknown:
-        raise ValidationError(f"forest has unknown key(s): {', '.join(sorted(unknown))}")
-    forest_seed = _number(forest_raw, "seed", global_seed, int, "forest ")
-    forest_cfg = ForestConfig(
-        n_trees=_number(forest_raw, "n_trees", 500, int, "forest "),
-        mtry=_optional_int(forest_raw, "mtry", "forest "),
-        min_node_size=_number(forest_raw, "min_node_size", 1, int, "forest "),
-        max_depth=_optional_int(forest_raw, "max_depth", "forest "),
-        seed=forest_seed if seed is None else seed,  # --seed wins over forest.seed
-    )
+    if seed is None:
+        seed = raw.get("seed", ForestConfig.seed)
+    forest = _from_json(ForestConfig, raw.get("forest", {}), "'forest'", seed=seed)
 
     policy_name = str(raw.get("unknown_policy", "reject")).lower()
     try:
@@ -263,7 +231,9 @@ def load_config(
     if features is not None and not features:
         raise ValidationError("'features', when given, must be nonempty")
     crosstab_rows = _optional_names(raw, "crosstab_rows")
-    top_k_features = _number(raw, "top_k_features", 10)
+    top_k_features = raw.get("top_k_features", 10)
+    if isinstance(top_k_features, bool) or not isinstance(top_k_features, int):
+        raise ValidationError(f"'top_k_features' must be an integer, got {top_k_features!r}")
     if top_k_features < 1:
         raise ValidationError("top_k_features must be >= 1")
     full_universe = raw.get("full_universe", False)
@@ -279,12 +249,11 @@ def load_config(
         response=str(raw["response"]),
         features=features,
         top_k_features=top_k_features,
-        forest=forest_cfg,
+        forest=forest,
         cases=cases,
         output_dir=Path(out_dir) if out_dir is not None else respath(
             raw.get("output_dir", "out")
         ),
-        seed=global_seed,
         crosstab_rows=crosstab_rows,
         full_universe=full_universe,
     )
@@ -301,15 +270,9 @@ def config_digest(cfg: RunConfig) -> str:
         "response": cfg.response,
         "features": list(cfg.features) if cfg.features is not None else None,
         "top_k_features": cfg.top_k_features,
-        "forest": {
-            "n_trees": cfg.forest.n_trees,
-            "mtry": cfg.forest.mtry,
-            "min_node_size": cfg.forest.min_node_size,
-            "max_depth": cfg.forest.max_depth,
-            "seed": cfg.forest.seed,
-        },
+        "forest": asdict(cfg.forest),
         "cases": [case.describe() for case in cfg.cases],
-        "seed": cfg.seed,
+        "seed": cfg.forest.seed,
         "full_universe": cfg.full_universe,
         "crosstab_rows": list(cfg.crosstab_rows)
         if cfg.crosstab_rows is not None
@@ -329,33 +292,6 @@ def dataset_digest(cfg: RunConfig) -> str:
 
 def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", name).strip("_") or "case"
-
-
-def _ensure_out(cfg: RunConfig) -> Path:
-    with _stage("config"):
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    return cfg.output_dir
-
-
-def _bundle(cfg: RunConfig) -> ReportBundle:
-    with _stage("config"):
-        return ReportBundle(
-            config_hash=config_digest(cfg), dataset_hash=dataset_digest(cfg)
-        )
-
-
-def _prepare(cfg: RunConfig) -> RecordSet:
-    with _stage("ingest"):
-        dictionary = load_dictionary(cfg.dictionary_path)
-        rs = ingest(
-            cfg.data_path, dictionary, cfg.unknown_policy, cfg.record_id_column
-        )
-        logger.info("ingested %d records", len(rs))
-    with _stage("filter"):
-        if cfg.filter_steps:
-            rs = filter_records(rs, cfg.filter_steps)
-            logger.info("filtered to %d records", len(rs))
-    return rs
 
 
 def _describe(cfg: RunConfig, rs: RecordSet, bundle: ReportBundle, out: Path) -> None:
@@ -435,7 +371,7 @@ def _mine(
     rs: RecordSet,
     bundle: ReportBundle,
     out: Path,
-    features: tuple[str, ...] | None = None,
+    features: tuple[str, ...] | None,
 ) -> None:
     with _stage("mine"):
         if not cfg.cases:
@@ -487,55 +423,57 @@ def _read_selection(path: Path) -> tuple[str, ...]:
     """The ``selected`` names of a select-vars output file."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path} must hold a JSON object")
     return _names(doc.get("selected"), f"'selected' in {path}")
 
 
-def _write_manifest(bundle: ReportBundle, out: Path) -> None:
+def _run(cfg: RunConfig, describe: bool = False, select: bool = False,
+         mine: bool = False) -> int:
+    """Ingest and filter once, run the chosen stages in order, write one manifest."""
+    out = cfg.output_dir
+    with _stage("config"):
+        out.mkdir(parents=True, exist_ok=True)
+        bundle = ReportBundle(
+            config_hash=config_digest(cfg), dataset_hash=dataset_digest(cfg)
+        )
+    with _stage("ingest"):
+        dictionary = load_dictionary(cfg.dictionary_path)
+        rs = ingest(
+            cfg.data_path, dictionary, cfg.unknown_policy, cfg.record_id_column
+        )
+        logger.info("ingested %d records", len(rs))
+    with _stage("filter"):
+        if cfg.filter_steps:
+            rs = filter_records(rs, cfg.filter_steps)
+            logger.info("filtered to %d records", len(rs))
+    if describe:
+        _describe(cfg, rs, bundle, out)
+    selected = _select_vars(cfg, rs, bundle, out) if select else None
+    if mine:
+        _mine(cfg, rs, bundle, out, features=selected)
     with _stage("report"):
         bundle.write_manifest(out / "manifest.json")
+    return 0
 
 
 def cmd_describe(cfg: RunConfig) -> int:
-    out = _ensure_out(cfg)
-    bundle = _bundle(cfg)
-    rs = _prepare(cfg)
-    _describe(cfg, rs, bundle, out)
-    _write_manifest(bundle, out)
-    return 0
+    return _run(cfg, describe=True)
 
 
 def cmd_select_vars(cfg: RunConfig) -> int:
-    out = _ensure_out(cfg)
-    bundle = _bundle(cfg)
-    rs = _prepare(cfg)
-    _select_vars(cfg, rs, bundle, out)
-    _write_manifest(bundle, out)
-    return 0
+    return _run(cfg, select=True)
 
 
 def cmd_mine(cfg: RunConfig) -> int:
-    out = _ensure_out(cfg)
-    bundle = _bundle(cfg)
-    rs = _prepare(cfg)
-    _mine(cfg, rs, bundle, out)
-    _write_manifest(bundle, out)
-    return 0
+    return _run(cfg, mine=True)
 
 
 def cmd_pipeline(cfg: RunConfig) -> int:
     """describe, select-vars, and mine over a single ingest, one manifest."""
-    out = _ensure_out(cfg)
-    bundle = _bundle(cfg)
-    rs = _prepare(cfg)
-    _describe(cfg, rs, bundle, out)
-    selected = _select_vars(cfg, rs, bundle, out)
-    _mine(cfg, rs, bundle, out, features=selected)
-    _write_manifest(bundle, out)
-    return 0
+    return _run(cfg, describe=True, select=True, mine=True)
 
 
 _COMMANDS = {
@@ -544,24 +482,6 @@ _COMMANDS = {
     "mine": cmd_mine,
     "pipeline": cmd_pipeline,
 }
-
-
-def _resolve_threads(value: int | None) -> int:
-    """The ``--threads`` value, else RULEKIT_THREADS, else 1; below 1 is refused."""
-    if value is None:
-        env = os.environ.get("RULEKIT_THREADS", "").strip()
-        if env:
-            try:
-                value = int(env)
-            except ValueError:
-                raise ValidationError(
-                    f"RULEKIT_THREADS must be an integer, got {env!r}"
-                ) from None
-        else:
-            value = 1
-    if value < 1:
-        raise ValidationError(f"threads must be >= 1, got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -586,10 +506,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=None,
-            help="accepted and checked (default: RULEKIT_THREADS or 1); has no effect",
+            default=1,
+            help="accepted and checked (at least 1); has no effect",
         )
-        p.add_argument("--seed", type=int, default=None, help="override seed and forest.seed")
+        p.add_argument("--seed", type=int, default=None, help="override the config's seed")
         p.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     return parser
 
@@ -603,7 +523,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         with _stage("config"):
-            _resolve_threads(args.threads)
+            if args.threads < 1:
+                raise ValidationError(f"threads must be >= 1, got {args.threads}")
             cfg = load_config(args.config, out_dir=args.out, seed=args.seed)
         return _COMMANDS[args.command](cfg)
     except CliFailure as failure:

@@ -100,7 +100,9 @@ class ForestConfig:
             if value is None and name in ("mtry", "max_depth"):
                 continue
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+                raise ValidationError(f"forest {name!r} must be an integer, got {value!r}")
+        if not 0 <= self.seed < 2**64:  # the RNG reads it as a uint64
+            raise ValidationError(f"seed {self.seed} must be in [0, 2**64)")
         if self.n_trees < 1:
             raise ValidationError(f"n_trees {self.n_trees} must be >= 1")
         if self.mtry is not None and self.mtry < 1:

@@ -100,11 +100,18 @@ class MiningCase:
     top_k: int = 20
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValidationError(f"case name must be a string, got {self.name!r}")
         case = f"case {self.name!r}:"
         for name in ("max_rule_items", "top_k"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"{case} {name} must be an integer, got {value!r}")
+                raise ValidationError(f"{case} {name!r} must be an integer, got {value!r}")
+        for name in ("min_confidence", "min_lift"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValidationError(f"{case} {name!r} must be a number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not 0.0 < self.min_confidence <= 1.0:
             raise ValidationError(f"{case} min_confidence {self.min_confidence} must be in (0, 1]")
         if not 0.0 <= self.min_lift < math.inf:

@@ -136,7 +136,7 @@ def load_dictionary(source: str | Path | Mapping) -> DataDictionary:
         try:
             with open(source, encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DictionaryError(f"malformed dictionary document {source}: {exc}") from exc
     else:
         doc = source
@@ -361,7 +361,9 @@ def ingest(
     declares that category, otherwise the row is rejected. Out-of-dictionary
     values are rejected under REJECT and coerced to "unknown" (when present)
     under COERCE. An error names the first bad row (or unparsable record) by
-    its line number. Ingest holds one chunk of rows, not the file, at a time.
+    its line number; in a file that is not valid UTF-8, the first line that
+    is not wins over any bad row. Ingest holds one chunk of rows, not the
+    file, at a time.
     """
     fh, owns = _open_source(source)
     try:
@@ -418,14 +420,35 @@ def ingest(
                 raise malformed
             if len(rows) < _CHUNK_RECORDS:
                 break
-    except csv.Error as exc:
-        raise IngestError(f"row {reader.line_num}: {exc}") from None
+    except (csv.Error, IngestError, UnicodeDecodeError) as exc:
+        # The decoder reads ahead of the parser, so invalid UTF-8 anywhere in the file wins.
+        if owns and (line := _undecodable_line(source)):
+            raise IngestError(f"row {line}: not valid UTF-8") from None
+        if isinstance(exc, csv.Error):
+            raise IngestError(f"row {reader.line_num}: {exc}") from None
+        raise
     finally:
         if owns:
             fh.close()
     if not record_ids:
         raise IngestError("empty input: record stream has no data rows")
     return RecordSet._of_codes(dictionary, tuple(record_ids), np.concatenate(blocks, axis=1))
+
+
+def _undecodable_line(path: str | Path) -> int | None:
+    """The number of the first line of ``path`` that is not valid UTF-8.
+
+    UTF-8 never puts a CR or LF byte inside a multi-byte sequence, so each line
+    decodes on its own. Latin-1 maps each byte to one character, so text mode
+    breaks lines where ingest's reader does, at a lone CR too.
+    """
+    with open(path, encoding="latin-1") as fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                line.encode("latin-1").decode("utf-8")
+            except UnicodeDecodeError:
+                return number
+    return None
 
 
 def _first_bad_row(

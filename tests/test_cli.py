@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import rulekit
-from rulekit.cli import main
+from rulekit.cli import config_digest, load_config, main
+from rulekit.forest import ForestConfig
 
 SAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "sample" / "config.json"
 
@@ -267,6 +268,16 @@ class TestConfigErrors:
                 lambda c: c["cases"][0].update({"min_confidence": 1.5}),
                 "case 'wet roads': min_confidence 1.5",
             ),
+            # each key error names its object: 'forest', cases[i] or the case
+            (lambda c: c["forest"].update({"n_trees": "abc"}), "forest 'n_trees' must be"),
+            (lambda c: c["forest"].update({"trees": 3}), "'forest' has unknown key(s): trees"),
+            (lambda c: c.update({"forest": [1]}), "'forest' must be an object"),
+            (lambda c: c["cases"][0].update({"top_k": None}), "case 'wet roads': 'top_k' must"),
+            (lambda c: c["cases"][0].update({"min_lift": True}), "case 'wet roads': 'min_lift'"),
+            (lambda c: c["cases"][0].update({"name": 5}), "case name must be a string, got 5"),
+            (lambda c: c["cases"][0].pop("min_confidence"), "cases[0] is missing 'min_confidence'"),
+            (lambda c: c["cases"][0].update({"minlift": 1}), "cases[0] has unknown key(s): minlift"),
+            (lambda c: c.update({"cases": [c["cases"][0], 7]}), "cases[1] must be an object"),
         ],
     )
     def test_rejected_configs_exit_2(self, tmp_path, capsys, mutate, needle):
@@ -311,6 +322,56 @@ class TestConfigErrors:
         rc = main(["describe", "--config", str(cfg), "--out", str(tmp_path / "blocked")])
         assert rc == 1
         assert "failed in stage 'config'" in capsys.readouterr().err
+
+    def test_defaults_written_out_change_nothing(self, tmp_path):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["cases"].append({"name": "any", "min_support": 3, "min_confidence": 0.4})
+        cfg = write_workspace(tmp_path, config)
+        config["forest"].update({"mtry": None, "max_depth": None})
+        config["forest"].setdefault("n_trees", 500)
+        for case in config["cases"]:
+            case.update({"min_lift": 1.1, "max_rule_items": 4, "top_k": 20})
+        config["cases"][1]["consequent"] = None
+        spelled = tmp_path / "spelled_out.json"
+        spelled.write_text(json.dumps(config))
+        implicit, explicit = load_config(cfg), load_config(spelled)
+        assert implicit == explicit
+        assert config_digest(implicit) == config_digest(explicit)
+        assert implicit.forest == ForestConfig(n_trees=25, min_node_size=2, seed=3)
+
+    def test_integer_thresholds_read_as_their_floats(self, tmp_path):
+        metas, hashes = set(), set()
+        for confidence, lift in ((1, 2), (1.0, 2.0)):
+            config = json.loads(json.dumps(BASE_CONFIG))
+            config["features"] = ["weather", "severity"]
+            config["cases"][0].update({"min_confidence": confidence, "min_lift": lift})
+            assert f'"min_lift": {lift}' in json.dumps(config)
+            cfg = write_workspace(tmp_path, config)
+            out = tmp_path / f"out_{lift}"
+            assert main(["mine", "--config", str(cfg), "--out", str(out)]) == 0
+            metas.add((out / "case_wet_roads_meta.json").read_bytes())
+            hashes.add(json.loads((out / "manifest.json").read_text())["config_hash"])
+        assert len(metas) == 1 and len(hashes) == 1
+
+    @pytest.mark.parametrize(
+        "name,stage,needle",
+        [
+            ("config.json", "config", "config.json is not valid"),
+            ("dictionary.json", "ingest", "dictionary.json"),
+            ("data.csv", "ingest", "row 9: not valid UTF-8"),
+        ],
+    )
+    def test_invalid_utf8_exits_2_naming_the_file(self, tmp_path, capsys, name, stage, needle):
+        cfg = write_workspace(tmp_path)
+        path = tmp_path / name
+        lines = path.read_bytes().splitlines(keepends=True)
+        at = 8 if len(lines) > 8 else 0  # the CSV's ninth line, or the JSON's only one
+        lines[at] = b"\xff" + lines[at]
+        path.write_bytes(b"".join(lines))
+        assert main(["describe", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"failed in stage '{stage}'" in err
+        assert needle in err and "utf-8" in err.lower()
 
 
 class TestSelectVars:
@@ -366,13 +427,14 @@ class TestMine:
 
     @pytest.mark.parametrize(
         "content",
-        ["[1, 2]", "{not json", '{"selected": "weather"}', '{"selected": ["weather", 3]}'],
-        ids=["array", "invalid-json", "string-selection", "non-string-name"],
+        [b"[1, 2]", b"{not json", b'{"selected": "weather"}', b'{"selected": ["weather", 3]}',
+         b'{"selected": ["weather\xff"]}'],
+        ids=["array", "invalid-json", "string-selection", "non-string-name", "invalid-utf8"],
     )
     def test_malformed_selection_file_exits_2(self, tmp_path, capsys, content):
         cfg = write_workspace(tmp_path)
         (tmp_path / "out").mkdir()
-        (tmp_path / "out" / "selected_variables.json").write_text(content)
+        (tmp_path / "out" / "selected_variables.json").write_bytes(content)
         assert main(["mine", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "failed in stage 'mine'" in err
@@ -421,17 +483,6 @@ class TestThreadsAndSeed:
         assert main(["describe", "--config", str(cfg), "--threads", "0"]) == 2
         assert "threads" in capsys.readouterr().err
 
-    def test_env_fallback(self, tmp_path, monkeypatch):
-        cfg = write_workspace(tmp_path)
-        monkeypatch.setenv("RULEKIT_THREADS", "3")
-        assert main(["select-vars", "--config", str(cfg)]) == 0
-
-    def test_env_fallback_rejects_garbage(self, tmp_path, monkeypatch, capsys):
-        cfg = write_workspace(tmp_path)
-        monkeypatch.setenv("RULEKIT_THREADS", "many")
-        assert main(["describe", "--config", str(cfg)]) == 2
-        assert "RULEKIT_THREADS" in capsys.readouterr().err
-
     def test_seed_override_changes_config_hash_only(self, tmp_path):
         cfg = write_workspace(tmp_path)
         a_dir, b_dir = tmp_path / "a", tmp_path / "b"
@@ -442,31 +493,44 @@ class TestThreadsAndSeed:
         assert a["config_hash"] != b["config_hash"]
         assert a["dataset_hash"] == b["dataset_hash"]
 
-    def test_seed_override_reaches_a_configured_forest_seed(self, tmp_path):
-        config = {**BASE_CONFIG, "forest": {**BASE_CONFIG["forest"], "seed": 3}}
-        cfg = write_workspace(tmp_path, config)
+    def test_seed_override_runs_as_the_configured_seed(self, tmp_path):
+        cfg = write_workspace(tmp_path)
         for seed in ("1", "2"):
             args = ["select-vars", "--config", str(cfg), "--out", str(tmp_path / seed)]
             assert main([*args, "--seed", seed]) == 0
-        # --seed 2 runs as a config whose seed and forest seed are both 2
-        both = {**config, "seed": 2, "forest": {**config["forest"], "seed": 2}}
-        (tmp_path / "both.json").write_text(json.dumps(both))
-        assert main(["select-vars", "--config", str(tmp_path / "both.json"),
-                     "--out", str(tmp_path / "both")]) == 0
+        # --seed 2 runs as a config whose seed is 2
+        (tmp_path / "two.json").write_text(json.dumps({**BASE_CONFIG, "seed": 2}))
+        assert main(["select-vars", "--config", str(tmp_path / "two.json"),
+                     "--out", str(tmp_path / "two")]) == 0
 
         def read(out: str, name: str) -> bytes:
             return (tmp_path / out / name).read_bytes()
 
         assert read("1", "importance.json") != read("2", "importance.json")
-        assert read("2", "importance.json") == read("both", "importance.json")
-        hashes = {json.loads(read(d, "manifest.json"))["config_hash"] for d in ("2", "both")}
+        assert read("2", "importance.json") == read("two", "importance.json")
+        hashes = {json.loads(read(d, "manifest.json"))["config_hash"] for d in ("2", "two")}
         assert len(hashes) == 1
 
-    def test_seed_override_still_checks_the_forest_seed(self, tmp_path, capsys):
-        config = {**BASE_CONFIG, "forest": {**BASE_CONFIG["forest"], "seed": "3"}}
+    def test_forest_seed_is_an_unknown_key(self, tmp_path, capsys):
+        # the top-level seed (or --seed) is the forest's seed; a second knob is refused
+        config = {**BASE_CONFIG, "forest": {**BASE_CONFIG["forest"], "seed": 3}}
         cfg = write_workspace(tmp_path, config)
         assert main(["describe", "--config", str(cfg), "--seed", "1"]) == 2
-        assert "seed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "failed in stage 'config'" in err
+        assert "'forest' has unknown key(s): seed" in err
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, where, seed):
+        config = {**BASE_CONFIG, "seed": seed} if where == "config" else BASE_CONFIG
+        cfg = write_workspace(tmp_path, config)
+        args = ["--seed", str(seed)] if where == "flag" else []
+        assert main(["describe", "--config", str(cfg), *args]) == 2
+        err = capsys.readouterr().err
+        assert "failed in stage 'config'" in err
+        assert f"seed {seed} must be in [0, 2**64)" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestPipeline:

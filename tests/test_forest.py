@@ -68,6 +68,16 @@ class TestForestConfig:
         with pytest.raises(ValidationError, match=next(iter(kwargs))):
             ForestConfig(**kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_must_fit_in_64_bits(self, seed):
+        # the RNG reads the seed as a uint64: -1 and 2**64 - 1 would draw alike
+        with pytest.raises(ValidationError, match=rf"seed {seed} must be in \[0, 2\*\*64\)"):
+            ForestConfig(seed=seed)
+
+    def test_seed_bounds_are_inclusive_exclusive(self):
+        assert ForestConfig(seed=0).seed == 0
+        assert ForestConfig(seed=2**64 - 1).seed == 2**64 - 1
+
     def test_defaults(self):
         cfg = ForestConfig()
         assert cfg.n_trees == 500

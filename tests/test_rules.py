@@ -1,5 +1,6 @@
 """Rule scoring, generation, pruning, and ranking."""
 
+import json
 import logging
 import random
 from dataclasses import replace
@@ -112,9 +113,42 @@ class TestMiningCase:
         ],
     )
     def test_counts_must_be_integers(self, kwargs):
-        with pytest.raises(ValidationError, match=rf"case 'x': {next(iter(kwargs))}"):
+        with pytest.raises(ValidationError, match=rf"case 'x': '{next(iter(kwargs))}'"):
             MiningCase(name="x", consequent=("a", "b"), min_support=SupportSpec.of_count(1),
                        min_confidence=0.5, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"min_confidence": True},
+            {"min_confidence": "0.5"},
+            {"min_confidence": None},
+            {"min_lift": False},
+            {"min_lift": "1.1"},
+            {"min_lift": None},
+        ],
+    )
+    def test_thresholds_must_be_numbers(self, kwargs):
+        args = {"min_confidence": 0.5, **kwargs}
+        with pytest.raises(ValidationError, match=rf"case 'x': '{next(iter(kwargs))}'"):
+            MiningCase(name="x", consequent=("a", "b"), min_support=SupportSpec.of_count(1),
+                       **args)
+
+    @pytest.mark.parametrize("name", [5, None, ("a",)])
+    def test_name_must_be_a_string(self, name):
+        with pytest.raises(ValidationError, match="case name must be a string"):
+            MiningCase(name=name, consequent=None, min_support=SupportSpec.of_count(1),
+                       min_confidence=0.5)
+
+    def test_thresholds_are_stored_as_floats(self):
+        def case(confidence, lift):
+            return MiningCase(name="x", consequent=None, min_support=SupportSpec.of_count(1),
+                              min_confidence=confidence, min_lift=lift)
+
+        ints, floats = case(1, 2), case(1.0, 2.0)
+        assert type(ints.min_confidence) is float and type(ints.min_lift) is float
+        assert ints == floats
+        assert json.dumps(ints.describe()) == json.dumps(floats.describe())
 
     def test_describe_round_trips_thresholds(self):
         case = MiningCase(name="night", consequent=("sev", "fatal"),

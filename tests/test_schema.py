@@ -305,6 +305,42 @@ class TestIngest:
         with pytest.raises(IngestError, match=r"^row 2: value 'sleet'"):
             ingest(_csv(header + f"1,sleet,dry,x\n2,rain,wet,{huge}\n"), weather_dict)
 
+    @pytest.mark.parametrize(
+        "line,bad",
+        [(1, b"road\xff"), (2, b"1,clear,dry\xc3"), (2501, b"2500,cl\xffear,dry"),
+         (3001, b"3000,clear,\xe2\x82")],
+    )
+    @pytest.mark.parametrize("bad_row_first", [False, True])
+    def test_invalid_utf8_names_its_line(self, tmp_path, weather_dict, line, bad, bad_row_first):
+        # The decoder runs ahead of the parser, so its offset names no row; the
+        # line is counted from the raw bytes, and a bad row before it does not win.
+        lines = [b"crash_number,weather,road"]
+        lines += [f"{i},{'sleet' if bad_row_first and i == 1 else 'clear'},dry".encode()
+                  for i in range(1, 3001)]
+        lines[line - 1] = bad
+        path = tmp_path / "records.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(IngestError, match=rf"^row {line}: not valid UTF-8$"):
+            ingest(path, weather_dict)
+
+    @pytest.mark.parametrize("newline", [b"\r", b"\r\n"])
+    def test_invalid_utf8_line_counts_every_line_break(self, tmp_path, weather_dict, newline):
+        # the same count as a bad row's: a lone CR ends a line too
+        path = tmp_path / "records.csv"
+        path.write_bytes(newline.join([b"crash_number,weather,road", b"1,sleet,dry",
+                                       b"2,clear,dry", b"3,cl\xffear,dry", b""]))
+        with pytest.raises(IngestError, match=r"^row 4: not valid UTF-8$"):
+            ingest(path, weather_dict)
+        path.write_bytes(path.read_bytes().replace(b"\xff", b""))
+        with pytest.raises(IngestError, match=r"^row 2: value 'sleet'"):
+            ingest(path, weather_dict)
+
+    def test_non_ascii_categories_still_read(self, tmp_path):
+        d = make_dictionary({"weather": ("clear", "grésil")})
+        path = tmp_path / "records.csv"
+        path.write_bytes("crash_number,weather\n1,grésil\n2,clear\n".encode())
+        assert ingest(path, d).records[0].values == {"weather": "grésil"}
+
 
 def _random_csv(rng: random.Random, chunk: int):
     """A random CSV for ``ingest``: its text, dictionary and policy.
