@@ -154,6 +154,13 @@ def _names(value: object, what: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _string(raw: Mapping, key: str, default: str | None = None) -> str:
+    value = raw.get(key, default)
+    if not isinstance(value, str):
+        raise ValidationError(f"{key!r} must be a string, got {value!r}")
+    return value
+
+
 def _optional_names(raw: Mapping, key: str) -> tuple[str, ...] | None:
     value = raw.get(key)
     return None if value is None else _names(value, repr(key))
@@ -201,7 +208,7 @@ def load_config(
         seed = raw.get("seed", ForestConfig.seed)
     forest = _from_json(ForestConfig, raw.get("forest", {}), "'forest'", seed=seed)
 
-    policy_name = str(raw.get("unknown_policy", "reject")).lower()
+    policy_name = _string(raw, "unknown_policy", "reject").lower()
     try:
         policy = UnknownPolicy(policy_name)
     except ValueError:
@@ -243,10 +250,10 @@ def load_config(
     return RunConfig(
         dictionary_path=dictionary_path,
         data_path=data_path,
-        record_id_column=str(raw.get("record_id_column", DEFAULT_RECORD_ID_COLUMN)),
+        record_id_column=_string(raw, "record_id_column", DEFAULT_RECORD_ID_COLUMN),
         unknown_policy=policy,
         filter_steps=load_filter_steps(raw.get("filter_steps", [])),
-        response=str(raw["response"]),
+        response=_string(raw, "response"),
         features=features,
         top_k_features=top_k_features,
         forest=forest,

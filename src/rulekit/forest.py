@@ -9,12 +9,18 @@ Layout. A tree is a set of read-only parallel arrays indexed by node id, as
 in ranger (Wright & Ziegler, JSS 2017): split feature (-1 at a leaf), left
 and right child ids, majority class, per-class in-bag counts, and a routing
 table per node holding one bool per category of its split feature, True
-where that category goes left. Prediction lays a block of trees end to end
-and turns their routing tables into one child table, which holds for every
-node and category the id of the child that category goes to. It moves every
-query row down one tree level per step, each step one lookup in that table
-at the node's offset plus the row's code, read from a row-major copy of the
-codes.
+where that category goes left. Each integer array is built in the smallest
+integer dtype that holds its values, signed where -1 marks a leaf, and the
+bootstrap rows of growth in the smallest unsigned dtype that holds a row id.
+The same tree as TreeNode objects shares one object per distinct leaf,
+routing table and class-count tuple across the forest. Prediction lays a
+block of trees end to end and turns their routing tables into one child
+table, which holds for every node and category the id of the child that
+category goes to. It moves every query row down one tree level per step,
+each step one lookup in that table at the node's offset plus the row's code,
+read from a row-major copy of the codes. Node and row ids widen to intp as
+they are laid end to end, before any offset is taken from them: numpy keeps
+uint16 * 12 in uint16, so a narrow row id times the feature count would wrap.
 
 Growth. Trees are grown a block at a time, in lockstep: each step takes the
 next depth-first node of every tree in the block that can still split,
@@ -141,6 +147,15 @@ class DecisionTree:
     (node, class) in-bag counts in class_counts. Node i sends category c of
     its feature left iff routing[route_start[i] + c]; route_start has one
     more entry than there are nodes, and a leaf's table is empty.
+
+    Each integer array has the smallest integer dtype that holds its values:
+    feature, left and right are signed (they hold -1), sized by the feature
+    and node counts; class_index, class_counts, route_start and in_bag are
+    unsigned, sized by the class count, the largest class count at the root,
+    the routing table's length and the largest multiplicity; oob_indices is
+    unsigned, sized by the record count. Take any of them to intp before
+    offsetting or scaling it. routing is bool. Equal leaves in nodes are one
+    object across the forest.
     """
 
     feature: np.ndarray
@@ -483,39 +498,42 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _tree_nodes(
-    feature: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
-    class_index: np.ndarray,
-    class_counts: np.ndarray,
-    route_start: np.ndarray,
-    routing: np.ndarray,
-) -> tuple[TreeNode, ...]:
-    """A tree's arrays as TreeNode objects; equal routing tables and class
-    counts share one frozenset and one tuple."""
-    table_bytes = routing.tobytes()
-    starts = route_start.tolist()
-    left_categories = [frozenset()] * len(feature)
+def _int_dtype(high: int, signed: bool = False) -> np.dtype:
+    """The smallest integer dtype holding 0..high, and -1 too if signed."""
+    return np.min_scalar_type(-high - 1 if signed else high)
+
+
+def _forest_nodes(trees: Sequence[tuple[np.ndarray, ...]]) -> Iterator[tuple[TreeNode, ...]]:
+    """Each tree's arrays as TreeNode objects. Across the forest, equal
+    routing tables, class counts and leaves share one frozenset, one tuple
+    and one TreeNode."""
     tables: dict[bytes, frozenset[int]] = {}
-    for i in np.flatnonzero(feature >= 0).tolist():
-        table = table_bytes[starts[i] : starts[i + 1]]
-        if table not in tables:
-            tables[table] = frozenset(compress(range(len(table)), table))
-        left_categories[i] = tables[table]
     counts: dict[tuple[int, ...], tuple[int, ...]] = {}
-    fields = zip(
-        feature.tolist(),
-        left_categories,
-        left.tolist(),
-        right.tolist(),
-        class_index.tolist(),
-        (
-            counts.setdefault(c, c)
-            for c in zip(*[iter(class_counts.ravel().tolist())] * class_counts.shape[1])
-        ),
-    )
-    return tuple(map(partial(tuple.__new__, TreeNode), fields))
+    leaves: dict[TreeNode, TreeNode] = {}
+    for feature, left, right, class_index, class_counts, route_start, routing, *_ in trees:
+        table_bytes = routing.tobytes()
+        starts = route_start.tolist()
+        left_categories = [frozenset()] * len(feature)
+        for i in np.flatnonzero(feature >= 0).tolist():
+            table = table_bytes[starts[i] : starts[i + 1]]
+            if table not in tables:
+                tables[table] = frozenset(compress(range(len(table)), table))
+            left_categories[i] = tables[table]
+        fields = zip(
+            feature.tolist(),
+            left_categories,
+            left.tolist(),
+            right.tolist(),
+            class_index.tolist(),
+            (
+                counts.setdefault(c, c)
+                for c in zip(*[iter(class_counts.ravel().tolist())] * class_counts.shape[1])
+            ),
+        )
+        nodes = list(map(partial(tuple.__new__, TreeNode), fields))
+        for i in np.flatnonzero(feature < 0).tolist():
+            nodes[i] = leaves.setdefault(nodes[i], nodes[i])
+        yield tuple(nodes)
 
 
 def _grow_block(
@@ -530,9 +548,9 @@ def _grow_block(
     """Grow the trees of one block in lockstep; tree i uses stream (seed, 0, i).
 
     Returns each tree's read-only arrays in DecisionTree's field order,
-    without nodes. samples holds every tree's bootstrap rows end to end; a
-    node owns a contiguous range of it, which a split reorders into left
-    then right.
+    without nodes. samples holds every tree's bootstrap rows end to end, in
+    the smallest unsigned dtype that holds a row id; a node owns a
+    contiguous range of it, which a split reorders into left then right.
     Each tree's depth-first stack holds (node id, sample start, sample end,
     depth, splittable) of the nodes still to visit.
     """
@@ -541,8 +559,11 @@ def _grow_block(
     flat_codes = X.ravel()  # feature f of record r at f * n + r
     width = int(n_cats.max())
     cells = width * n_classes
-    rngs = [np.random.default_rng([cfg.seed % 2**64, 0, i]) for i in block]
-    samples = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
+    rngs = [np.random.default_rng([cfg.seed, 0, i]) for i in block]
+    row_dtype = _int_dtype(n - 1)
+    samples = np.empty(n_trees * n, dtype=row_dtype)
+    for j, rng in enumerate(rngs):
+        samples[j * n : (j + 1) * n] = rng.integers(0, n, size=n)
     draws = _FeatureDraws(rngs, len(X), mtry)
     root_counts = np.array([
         np.bincount(y[samples[j * n : (j + 1) * n]], minlength=n_classes)
@@ -635,26 +656,30 @@ def _grow_block(
         mine = by_tree[bounds[j] : bounds[j + 1]]
         mine = mine[np.argsort(nid[mine])]  # internal nodes in id order
         size = int(n_nodes[j])
-        feature_j = np.full(size, -1, dtype=np.intp)
+        feature_j = np.full(size, -1, dtype=_int_dtype(len(X) - 1, signed=True))
         feature_j[nid[mine]] = feature[mine]
-        left_j = np.full(size, -1, dtype=np.intp)
+        left_j = np.full(size, -1, dtype=_int_dtype(size - 1, signed=True))
         left_j[nid[mine]] = left[mine]
-        class_counts = np.empty((size, n_classes), dtype=np.int64)
+        # no count exceeds its class's count at the root
+        class_counts = np.empty((size, n_classes), dtype=_int_dtype(int(root_counts[j].max())))
         class_counts[0] = root_counts[j]
         class_counts[left[mine]] = child_counts[mine, 0]
         class_counts[left[mine] + 1] = child_counts[mine, 1]
         widths = np.where(feature_j >= 0, n_cats[feature_j], 0)
+        route_start = np.zeros(size + 1, dtype=_int_dtype(int(widths.sum())))
+        route_start[1:] = np.cumsum(widths)
         in_bag = np.bincount(samples[j * n : (j + 1) * n], minlength=n)
+        in_bag = in_bag.astype(_int_dtype(int(in_bag.max())))
         arrays = (
             feature_j,
             left_j,
             np.where(left_j >= 0, left_j + 1, -1),
-            class_counts.argmax(axis=1),
+            class_counts.argmax(axis=1).astype(_int_dtype(n_classes - 1)),
             class_counts,
-            np.concatenate(([0], np.cumsum(widths))),
+            route_start,
             route[mine][np.arange(width) < n_cats[feature[mine]][:, None]],
             in_bag,
-            np.flatnonzero(in_bag == 0),
+            np.flatnonzero(in_bag == 0).astype(row_dtype),
         )
         for a in arrays:
             a.setflags(write=False)
@@ -702,11 +727,11 @@ def train(
         return _grow_block(X, y, n_cats, len(class_labels), mtry, cfg, block)
 
     blocks = run_ordered(grow, _tree_blocks(n, cfg.n_trees, _BLOCK_ROWS))
+    grown = [arrays for block in blocks for arrays in block]
     with _gc_paused():
         trees = tuple(
-            DecisionTree(*arrays, nodes=_tree_nodes(*arrays[:7]))
-            for block in blocks
-            for arrays in block
+            DecisionTree(*arrays, nodes=nodes)
+            for arrays, nodes in zip(grown, _forest_nodes(grown))
         )
     return Forest(
         trees=trees,
@@ -726,17 +751,20 @@ def _concat_trees(trees: Sequence[DecisionTree]) -> tuple[np.ndarray, tuple[np.n
     split feature, majority class, the start of each node's routing table
     and the child table. Node i sends category c to child[route_start[i] + c],
     its left child where routing[route_start[i] + c] holds, else its right
-    one, which is the left one's id plus one."""
+    one, which is the left one's id plus one. Node ids and table offsets
+    widen to intp as they are concatenated, before any offset is added."""
     sizes = [len(t.feature) for t in trees]
     roots = np.cumsum(sizes) - sizes
     route_sizes = [len(t.routing) for t in trees]
-    route_offsets = np.cumsum(route_sizes) - route_sizes
-    left = np.concatenate([t.left + r for t, r in zip(trees, roots)])
+    left = np.concatenate([t.left for t in trees], dtype=np.intp)
+    left += np.repeat(roots, sizes)
+    route_start = np.concatenate([t.route_start[:-1] for t in trees], dtype=np.intp)
+    route_start += np.repeat(np.cumsum(route_sizes) - route_sizes, sizes)
     widths = np.concatenate([np.diff(t.route_start) for t in trees])
     flat = (
         np.concatenate([t.feature for t in trees]),
         np.concatenate([t.class_index for t in trees]),
-        np.concatenate([t.route_start[:-1] + o for t, o in zip(trees, route_offsets)]),
+        route_start,
         np.repeat(left, widths) + ~np.concatenate([t.routing for t in trees]),
     )
     return roots, flat
@@ -817,7 +845,7 @@ def oob_predict(forest: Forest, rs: RecordSet) -> OobPrediction:
     for block in _tree_blocks(n, len(forest.trees), _CHUNK_ROWS):
         trees = [forest.trees[t] for t in block]
         roots, flat = _concat_trees(trees)
-        rows = np.concatenate([t.oob_indices for t in trees])
+        rows = np.concatenate([t.oob_indices for t in trees], dtype=np.intp)
         start = np.repeat(roots, [len(t.oob_indices) for t in trees])
         preds = _predict(flat, by_record, start, rows)
         votes += np.bincount(rows * n_classes + preds, minlength=n * n_classes)
@@ -829,9 +857,8 @@ def oob_predict(forest: Forest, rs: RecordSet) -> OobPrediction:
     else:
         logger.warning("no record was out-of-bag for any tree; accuracy undefined")
         accuracy = float("nan")
-    predictions = tuple(
-        forest.class_labels[int(w)] if c else None for w, c in zip(winner, covered)
-    )
+    labels = forest.class_labels + (None,)  # index n_classes: never out-of-bag
+    predictions = tuple(map(labels.__getitem__, np.where(covered, winner, n_classes).tolist()))
     return OobPrediction(predictions=predictions, accuracy=accuracy)
 
 
@@ -842,7 +869,10 @@ def mda_importance(forest: Forest, rs: RecordSet, seed: int) -> ImportanceReport
     out-of-bag rows (one fresh permutation per tree and feature) and the
     accuracy drop recorded; trees with no out-of-bag rows are skipped. The
     report is sorted by descending mda, ties by dictionary variable order.
+    seed must be in [0, 2**64).
     """
+    if not 0 <= seed < 2**64:  # the RNG reads it as a uint64
+        raise ValidationError(f"seed {seed} must be in [0, 2**64)")
     codes = _check_match(forest, rs)
     X, y = codes[:-1], codes[-1]
     by_record = np.ascontiguousarray(X.T)
@@ -864,10 +894,10 @@ def mda_importance(forest: Forest, rs: RecordSet, seed: int) -> ImportanceReport
         ]
         if not kept:
             return []
-        rngs = [np.random.default_rng([seed % 2**64, 1, t]) for t, _, _ in kept]
-        oobs = [oob for _, oob, _ in kept]
-        sizes = np.array([len(oob) for oob in oobs])
-        oob = np.concatenate(oobs)
+        rngs = [np.random.default_rng([seed, 1, t]) for t, _, _ in kept]
+        sizes = np.array([len(oob) for _, oob, _ in kept])
+        oob = np.concatenate([oob for _, oob, _ in kept], dtype=np.intp)
+        oobs = np.split(oob, np.cumsum(sizes)[:-1])  # each tree's, as views
         owner = np.repeat(np.arange(len(kept)), sizes)
         start = np.repeat([root for _, _, root in kept], sizes)
         first_split = np.full((n_features, len(oob)), -1, dtype=np.intp)

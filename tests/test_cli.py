@@ -278,6 +278,13 @@ class TestConfigErrors:
             (lambda c: c["cases"][0].pop("min_confidence"), "cases[0] is missing 'min_confidence'"),
             (lambda c: c["cases"][0].update({"minlift": 1}), "cases[0] has unknown key(s): minlift"),
             (lambda c: c.update({"cases": [c["cases"][0], 7]}), "cases[1] must be an object"),
+            # string values are taken as they are, never converted with str()
+            (lambda c: c.update({"response": 5}),
+             "stage 'config': 'response' must be a string, got 5"),
+            (lambda c: c.update({"record_id_column": None}),
+             "stage 'config': 'record_id_column' must be a string, got None"),
+            (lambda c: c.update({"unknown_policy": True}),
+             "stage 'config': 'unknown_policy' must be a string, got True"),
         ],
     )
     def test_rejected_configs_exit_2(self, tmp_path, capsys, mutate, needle):

@@ -354,6 +354,15 @@ class TestMdaImportance:
         assert report.entries[0].mda > 0.2
         assert report.oob_accuracy > 0.95
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_must_fit_in_64_bits(self, seed):
+        # the RNG reads the seed as a uint64: -1 and 2**64 - 1 would permute alike
+        rs, predictor, noise = planted_mda_records(n=60)
+        f = train(rs, "resp", [predictor] + noise, ForestConfig(n_trees=2, seed=1))
+        mda_importance(f, rs, seed=2**64 - 1)
+        with pytest.raises(ValidationError, match=r"seed .* must be in \[0, 2\*\*64\)"):
+            mda_importance(f, rs, seed=seed)
+
     def test_ties_order_by_dictionary_position(self):
         rs, predictor, noise = planted_mda_records(n=200)
         f = train(rs, "resp", [predictor] + noise,
@@ -508,6 +517,80 @@ class TestFlatForestMatchesReference:
             assert np.array_equal(a.in_bag, b.in_bag)
         assert _report_bits(mda_importance(small, rs, seed=4)) == _report_bits(report)
         assert oob_predict(small, rs) == oob_predict(full, rs)
+
+
+def _noisy_records(n: int, n_features: int, seed: int):
+    """n records of n_features three-category features and a two-class
+    response that leans on f0 and f1 but stays noisy, so trees grow deep."""
+    rng = random.Random(seed)
+    spec = {f"f{i}": ("c0", "c1", "c2") for i in range(n_features)}
+    spec["resp"] = ("r0", "r1")
+    rows = []
+    for _ in range(n):
+        row = {name: rng.choice(cats) for name, cats in spec.items() if name != "resp"}
+        lean = (row["f0"] == "c0") + (row["f1"] == "c1")
+        row["resp"] = "r1" if rng.random() < 0.2 + 0.3 * lean else "r0"
+        rows.append(row)
+    return make_records(make_dictionary(spec), rows), [f"f{i}" for i in range(n_features)]
+
+
+class TestCompactForest:
+    def test_offsets_past_the_narrow_dtypes_match_reference(self):
+        """Row ids are uint16 here, yet a row's first code sits at row * p,
+        up to 69,990; and each depth-6 tree's node ids and routing offsets
+        fit in 8 bits, yet the two trees end to end do not. numpy keeps
+        uint16 * 10 in uint16, so every one of those offsets must be taken
+        in intp or a prediction reads the wrong code or node."""
+        rs, features = _noisy_records(7_000, 10, seed=11)
+        cfg = ForestConfig(n_trees=2, max_depth=6, seed=5)
+        forest = train(rs, "resp", features, cfg)
+        for tree in forest.trees:
+            assert tree.oob_indices.dtype == np.uint16
+            assert (tree.left.dtype, tree.route_start.dtype) == (np.int8, np.uint8)
+        assert len(rs) * len(features) > 2**16
+        assert sum(len(t.left) for t in forest.trees) > 2**7
+        assert sum(len(t.routing) for t in forest.trees) > 2**8
+        # a wrapped node id could send a query round a cycle, so check the
+        # concatenated ids before routing anything
+        roots, (_, _, route_start, child) = forest_module._concat_trees(forest.trees)
+        offset = 0
+        for tree, root, at, to in zip(
+            forest.trees, roots.tolist(),
+            np.split(route_start, np.cumsum([len(t.left) for t in forest.trees])[:-1]),
+            np.split(child, np.cumsum([len(t.routing) for t in forest.trees])[:-1]),
+        ):
+            assert np.array_equal(at, tree.route_start[:-1].astype(np.int64) + offset)
+            widths = np.diff(tree.route_start.astype(np.int64))
+            assert np.array_equal(to, np.repeat(tree.left.astype(np.int64) + root, widths)
+                                  + ~tree.routing)
+            offset += len(tree.routing)
+        _assert_matches_reference(rs, "resp", features, cfg, forest)
+
+    @pytest.mark.parametrize("n", [300, 2**16 - 1])
+    def test_tree_arrays_are_narrower_than_intp(self, n):
+        rs, features = _noisy_records(n, 3, seed=n)
+        forest = train(rs, "resp", features, ForestConfig(n_trees=2, min_node_size=1, seed=1))
+        for tree in forest.trees:
+            for name in ("feature", "left", "right", "class_index", "class_counts",
+                         "route_start", "in_bag", "oob_indices"):
+                array = getattr(tree, name)
+                assert array.dtype.kind in "iu", name
+                assert array.dtype.itemsize < np.dtype(np.intp).itemsize, name
+
+    def test_equal_leaves_are_one_object_across_trees(self):
+        rs, features = _noisy_records(300, 4, seed=3)
+        cfg = ForestConfig(n_trees=4, min_node_size=3, seed=2)
+        forest = train(rs, "resp", features, cfg)
+        _assert_matches_reference(rs, "resp", features, cfg, forest)
+        first: dict = {}  # leaf -> (the first equal leaf seen, its tree)
+        across = 0
+        for t, tree in enumerate(forest.trees):
+            for node in tree.nodes:
+                if node.is_leaf:
+                    leaf, owner = first.setdefault(node, (node, t))
+                    assert leaf is node
+                    across += owner != t
+        assert across > 0
 
 
 def _scalar_choice(words, p: int, m: int, rejected: list[int] | None = None) -> list[int]:
