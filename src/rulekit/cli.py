@@ -194,12 +194,13 @@ def load_config(
 
     base = path.resolve().parent
 
-    def respath(p: object) -> Path:
-        q = Path(str(p))
+    def respath(key: str, default: str | None = None) -> Path:
+        q = Path(_string(raw, key, default))
         return q if q.is_absolute() else base / q
 
-    dictionary_path = respath(raw["dictionary"])
-    data_path = respath(raw["data"])
+    dictionary_path = respath("dictionary")
+    data_path = respath("data")
+    output_dir = respath("output_dir", "out")
     for p in (dictionary_path, data_path):
         if not p.exists():
             raise ValidationError(f"referenced path {p} does not exist")
@@ -258,9 +259,7 @@ def load_config(
         top_k_features=top_k_features,
         forest=forest,
         cases=cases,
-        output_dir=Path(out_dir) if out_dir is not None else respath(
-            raw.get("output_dir", "out")
-        ),
+        output_dir=Path(out_dir) if out_dir is not None else output_dir,
         crosstab_rows=crosstab_rows,
         full_universe=full_universe,
     )
@@ -405,6 +404,10 @@ def _mine(
             raise ValidationError(
                 f"unknown mining variable(s): {', '.join(sorted(missing))}"
             )
+        # the dictionary judges a consequent: the universe lacks categories no record holds
+        for case in cfg.cases:
+            if case.consequent is not None:
+                rs.dictionary.category_index(*case.consequent)
         ts = encode(rs, selected_vars, full_universe=cfg.full_universe)
         logger.info(
             "encoded %d transactions over %d items",

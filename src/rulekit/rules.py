@@ -213,14 +213,17 @@ def generate_rules(freq: FrequentItemsets, ts: TransactionSet, case: MiningCase)
     if 1 in freq.levels:
         count_y[freq.levels[1][0][:, 0]] = freq.levels[1][1]
     if case.consequent is not None:
-        y = ts.universe.item_id(*case.consequent)
-        if not count_y[y]:
+        # a consequent that no record holds is outside an occurring-only universe
+        is_y = np.zeros(len(count_y), dtype=bool)
+        if case.consequent in ts.universe.items:
+            is_y[ts.universe.item_id(*case.consequent)] = True
+        if not count_y[is_y].any():
             logger.warning(
                 "consequent %s is not frequent at resolved support count %d; no rules",
-                ts.universe.token(y),
+                item_token(case.consequent),
                 threshold,
             )
-        count_y[np.arange(len(count_y)) != y] = 0
+        count_y[~is_y] = 0
 
     # Column j of a level's rows is the consequent and the other columns the
     # antecedent, found in the level below. A rule's position is its

@@ -7,11 +7,13 @@ one category per variable, and "unknown" is an ordinary category that is
 never dropped silently. All types are immutable after construction.
 
 A RecordSet stores its records in columnar form only: the record ids plus
-one read-only category-code matrix that every later stage reads. Ingest
-(which holds one chunk of CSV rows at a time, besides the ids and codes), the
-RecordSet constructor and filter steps turn category strings into codes
-through one helper, and filtering slices the matrix. ``RecordSet.records``
-is a view of per-row ``Record``s, built from the codes on first access.
+one read-only category-code matrix that every later stage reads, and its
+one constructor takes exactly those. Ingest (which holds one chunk of CSV
+rows at a time, besides the ids and codes) and filter steps turn category
+strings into codes through one helper, ``_category_codes``, which alone
+decides which strings a variable accepts; filtering slices the matrix.
+``RecordSet.records`` is a view of per-row ``Record``s, built from the codes
+on first access.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -215,20 +217,22 @@ def _category_codes(
     return np.fromiter(map(index.__getitem__, cells), dtype, len(cells))
 
 
-def _empty_codes(dictionary: DataDictionary, n_records: int) -> np.ndarray:
+def _codes_dtype(dictionary: DataDictionary) -> np.dtype:
+    """The smallest unsigned dtype that holds a category index of every variable."""
     width = max((len(var.categories) for var in dictionary.variables), default=1)
-    return np.empty((len(dictionary.variables), n_records), np.min_scalar_type(width - 1))
+    return np.min_scalar_type(width - 1)
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class RecordSet:
-    """Validated records plus the provenance of any filters applied to them.
+    """Records plus the provenance of any filters applied to them.
 
     The stored form is columnar: ``record_ids`` and ``codes`` (read-only,
     shape (n_variables, n_records)), which holds in row j each record's
     category index in the j-th dictionary variable, in the smallest unsigned
     dtype that fits the widest variable (uint8 up to 256 categories).
-    ``records`` is a view of them, built on first access.
+    ``records`` is a view of them, built on first access. The constructor
+    checks the codes; record ids are checked where they are read, by ingest.
     """
 
     dictionary: DataDictionary
@@ -236,90 +240,36 @@ class RecordSet:
     codes: np.ndarray = field(repr=False)
     filter_log: tuple[FilterLogEntry, ...] = ()
 
-    def __init__(
-        self,
-        dictionary: DataDictionary,
-        records: Iterable[Record],
-        filter_log: tuple[FilterLogEntry, ...] = (),
-    ) -> None:
-        records = tuple(records)
-        names = set(dictionary.names)
-        seen_ids: set[str] = set()
-        for rec in records:
-            if rec.record_id in seen_ids:
-                raise ValidationError(f"duplicate record_id {rec.record_id!r}")
-            seen_ids.add(rec.record_id)
-            if rec.values.keys() != names:
-                raise ValidationError(
-                    f"record {rec.record_id!r} does not assign exactly one category per variable "
-                    f"(missing={sorted(names - rec.values.keys())}, "
-                    f"extra={sorted(rec.values.keys() - names)})"
-                )
-        codes = _empty_codes(dictionary, len(records))
-        try:
-            for row, var in zip(codes, dictionary.variables):
-                row[:] = _category_codes(var, [rec.values[var.name] for rec in records], row.dtype)
-        except KeyError:
-            var, rec = next(
-                (var, rec)
-                for var in dictionary.variables
-                for rec in records
-                if rec.values[var.name] not in var.categories
-            )
+    def __post_init__(self) -> None:
+        variables = self.dictionary.variables
+        shape = (len(variables), len(self.record_ids))
+        if self.codes.shape != shape or not np.issubdtype(self.codes.dtype, np.integer):
             raise ValidationError(
-                f"record {rec.record_id!r}: {rec.values[var.name]!r} is not a category "
-                f"of {var.name!r}"
-            ) from None
-        prev_after = None
-        for entry in filter_log:
-            if entry.records_after > entry.records_before:
+                f"codes must be integers of shape {shape} (variables, records), "
+                f"got {self.codes.dtype} of shape {self.codes.shape}"
+            )
+        for var, row in zip(variables, self.codes):
+            low, high = int(row.min(initial=0)), int(row.max(initial=0))
+            if low < 0 or high >= len(var.categories):
                 raise ValidationError(
-                    f"filter log entry {entry.description!r} increases the record count"
+                    f"code {low if low < 0 else high} is not a category index of "
+                    f"{var.name!r}, which has {len(var.categories)} categories"
                 )
-            if prev_after is not None and entry.records_before > prev_after:
-                raise ValidationError("filter log counts are not monotone non-increasing")
-            prev_after = entry.records_after
-        self._store(dictionary, tuple(rec.record_id for rec in records), codes, tuple(filter_log))
-
-    @classmethod
-    def _of_codes(
-        cls,
-        dictionary: DataDictionary,
-        record_ids: tuple[str, ...],
-        codes: np.ndarray,
-        filter_log: tuple[FilterLogEntry, ...] = (),
-    ) -> RecordSet:
-        """A RecordSet over ids, codes and a filter log that rulekit built itself."""
-        rs = cls.__new__(cls)
-        rs._store(dictionary, record_ids, codes, filter_log)
-        return rs
-
-    def _store(
-        self,
-        dictionary: DataDictionary,
-        record_ids: tuple[str, ...],
-        codes: np.ndarray,
-        filter_log: tuple[FilterLogEntry, ...],
-    ) -> None:
+        codes = self.codes.astype(_codes_dtype(self.dictionary), copy=False)
         codes.setflags(write=False)
-        object.__setattr__(self, "dictionary", dictionary)
-        object.__setattr__(self, "record_ids", record_ids)
         object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "filter_log", filter_log)
-
-    def _category_columns(self) -> list[list[str]]:
-        return [
-            list(map(var.categories.__getitem__, row.tolist()))
-            for var, row in zip(self.dictionary.variables, self.codes)
-        ]
 
     @cached_property
     def records(self) -> tuple[Record, ...]:
         """The rows as ``Record``s whose ``values`` are read-only mappings."""
         names = self.dictionary.names
+        columns = [
+            map(var.categories.__getitem__, row.tolist())
+            for var, row in zip(self.dictionary.variables, self.codes)
+        ]
         return tuple(
             Record(rid, MappingProxyType(dict(zip(names, cells))))
-            for rid, *cells in zip(self.record_ids, *self._category_columns())
+            for rid, *cells in zip(self.record_ids, *columns)
         )
 
     def __eq__(self, other: object) -> bool:
@@ -387,6 +337,7 @@ def ingest(
 
         id_index = position[id_column]
         columns = [(var, position[var.name]) for var in dictionary.variables]
+        dtype = _codes_dtype(dictionary)
         record_ids: list[str] = []  # of the chunks accepted so far
         seen_ids: set[str] = set()
         blocks: list[np.ndarray] = []
@@ -403,7 +354,7 @@ def ingest(
             if min(map(len, rows), default=len(header)) < len(header):
                 rows = [row + [""] * (len(header) - len(row)) for row in rows]
             ids = column(rows, id_index)
-            block = _empty_codes(dictionary, len(rows))
+            block = np.empty((len(columns), len(rows)), dtype)
             try:
                 for codes, (var, index) in zip(block, columns):
                     codes[:] = _category_codes(var, column(rows, index), codes.dtype, policy)
@@ -432,7 +383,7 @@ def ingest(
             fh.close()
     if not record_ids:
         raise IngestError("empty input: record stream has no data rows")
-    return RecordSet._of_codes(dictionary, tuple(record_ids), np.concatenate(blocks, axis=1))
+    return RecordSet(dictionary, tuple(record_ids), np.concatenate(blocks, axis=1))
 
 
 def _undecodable_line(path: str | Path) -> int | None:
@@ -460,7 +411,6 @@ def _first_bad_row(
     seen_ids: set[str],
 ) -> IngestError:
     """The error for the first row that ingest cannot accept, after ``seen_ids``."""
-    coerce = policy is UnknownPolicy.COERCE
     for row, line in zip(rows, lines):
         rid = row[id_column].strip()
         if not rid:
@@ -470,30 +420,18 @@ def _first_bad_row(
         seen_ids.add(rid)
         for var, col in columns:
             val = row[col].strip()
-            has_unknown = "unknown" in var.categories
-            if not val and not has_unknown:
+            try:
+                _category_codes(var, [val], policy=policy)
+            except KeyError:
+                if val:
+                    return IngestError(
+                        f"row {line}: value {val!r} is not a category of {var.name!r}"
+                    )
                 return IngestError(
                     f"row {line}: missing value for {var.name!r} and the variable "
                     f"declares no 'unknown' category"
                 )
-            if val and val not in var.categories and not (coerce and has_unknown):
-                return IngestError(f"row {line}: value {val!r} is not a category of {var.name!r}")
     raise AssertionError("ingest rejected rows that each encode")
-
-
-def write_records(
-    rs: RecordSet,
-    sink: str | Path,
-    record_id_column: str = DEFAULT_RECORD_ID_COLUMN,
-) -> Path:
-    """Write a RecordSet back out as CSV; re-ingesting yields equal records."""
-    sink = Path(sink)
-    sink.parent.mkdir(parents=True, exist_ok=True)
-    with open(sink, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([record_id_column, *rs.dictionary.names])
-        writer.writerows(zip(rs.record_ids, *rs._category_columns()))
-    return sink
 
 
 @dataclass(frozen=True)
@@ -518,7 +456,9 @@ def load_filter_steps(doc: object) -> tuple[FilterStep, ...]:
         keep = entry["keep"]
         if not isinstance(keep, (list, tuple)) or not all(isinstance(c, str) for c in keep):
             raise ValidationError(f"filter step {entry!r}: 'keep' must be an array of strings")
-        steps.append(FilterStep(variable=str(entry["variable"]), keep=frozenset(keep)))
+        if not isinstance(entry["variable"], str):
+            raise ValidationError(f"filter step {entry!r}: 'variable' must be a string")
+        steps.append(FilterStep(variable=entry["variable"], keep=frozenset(keep)))
     return tuple(steps)
 
 
@@ -542,7 +482,7 @@ def filter_records(rs: RecordSet, steps: Sequence[FilterStep]) -> RecordSet:
         keep &= np.isin(rs.codes[rs.dictionary.variable_index(step.variable)], kept_codes)
         log.append(FilterLogEntry(step.describe(), before, int(keep.sum())))
     record_ids = tuple(compress(rs.record_ids, keep.tolist()))
-    return RecordSet._of_codes(rs.dictionary, record_ids, rs.codes[:, keep], tuple(log))
+    return RecordSet(rs.dictionary, record_ids, rs.codes[:, keep], tuple(log))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from rulekit.schema import (
     DEFAULT_RECORD_ID_COLUMN,
     CrossTab,
     DataDictionary,
-    Record,
     RecordSet,
     UnknownPolicy,
     VariableSchema,
@@ -63,11 +62,16 @@ def make_dictionary(spec: Mapping[str, Sequence[str]]) -> DataDictionary:
 def make_records(
     dictionary: DataDictionary, assignments: Iterable[Mapping[str, str]]
 ) -> RecordSet:
-    records = tuple(
-        Record(record_id=f"r{i}", values=dict(values))
-        for i, values in enumerate(assignments)
+    """The rows as a RecordSet with ids r0, r1, ...; a row names every variable."""
+    rows = list(assignments)
+    codes = [
+        [dictionary.category_index(name, row[name]) for row in rows] for name in dictionary.names
+    ]
+    return RecordSet(
+        dictionary,
+        tuple(f"r{i}" for i in range(len(rows))),
+        np.array(codes, np.int64).reshape(len(dictionary.names), len(rows)),
     )
-    return RecordSet(dictionary=dictionary, records=records)
 
 
 def random_record_set(rng: random.Random, max_items: int = 12, max_transactions: int = 64) -> RecordSet:
@@ -467,7 +471,7 @@ def reference_ingest(
 
     coerce = policy is UnknownPolicy.COERCE
     seen_ids: set[str] = set()
-    records = []
+    record_ids, codes = [], []
     for row, line in zip(rows, lines):
         row = row + [""] * (len(header) - len(row))
         rid = row[position[id_column]].strip()
@@ -476,7 +480,7 @@ def reference_ingest(
         if rid in seen_ids:
             raise IngestError(f"row {line}: duplicate record_id {rid!r}")
         seen_ids.add(rid)
-        cells = {}
+        cells = []
         for var in dictionary.variables:
             val = row[position[var.name]].strip()
             has_unknown = "unknown" in var.categories
@@ -487,13 +491,15 @@ def reference_ingest(
                 )
             if val and val not in var.categories and not (coerce and has_unknown):
                 raise IngestError(f"row {line}: value {val!r} is not a category of {var.name!r}")
-            cells[var.name] = val if val in var.categories else "unknown"
-        records.append(Record(rid, cells))
+            cell = val if val in var.categories else "unknown"
+            cells.append(dictionary.category_index(var.name, cell))
+        record_ids.append(rid)
+        codes.append(cells)
     if malformed is not None:
         raise malformed
-    if not records:
+    if not record_ids:
         raise IngestError("empty input: record stream has no data rows")
-    return RecordSet(dictionary, records)
+    return RecordSet(dictionary, tuple(record_ids), np.array(codes, np.int64).T)
 
 
 def reference_cross_tabulate(rs: RecordSet, row_var: str, col_var: str) -> CrossTab:

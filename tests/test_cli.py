@@ -285,6 +285,14 @@ class TestConfigErrors:
              "stage 'config': 'record_id_column' must be a string, got None"),
             (lambda c: c.update({"unknown_policy": True}),
              "stage 'config': 'unknown_policy' must be a string, got True"),
+            (lambda c: c.update({"dictionary": ["dictionary.json"]}),
+             "stage 'config': 'dictionary' must be a string, got ['dictionary.json']"),
+            (lambda c: c.update({"data": 5}), "stage 'config': 'data' must be a string, got 5"),
+            (lambda c: c.update({"output_dir": 7}),
+             "stage 'config': 'output_dir' must be a string, got 7"),
+            (lambda c: c.update({"filter_steps": [{"variable": 5, "keep": ["dry"]}]}),
+             "stage 'config': filter step {'variable': 5, 'keep': ['dry']}: "
+             "'variable' must be a string"),
         ],
     )
     def test_rejected_configs_exit_2(self, tmp_path, capsys, mutate, needle):
@@ -315,6 +323,12 @@ class TestConfigErrors:
         cfg = write_workspace(tmp_path, config)
         assert main(["describe", "--config", str(cfg)]) == 2
         assert f"'{key}'" in capsys.readouterr().err
+
+    def test_output_dir_is_checked_when_out_overrides_it(self, tmp_path, capsys):
+        # a config is valid or not whatever the flags
+        cfg = write_workspace(tmp_path, {**BASE_CONFIG, "output_dir": 7})
+        assert main(["describe", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "stage 'config': 'output_dir' must be a string, got 7" in capsys.readouterr().err
 
     def test_unparsable_record_exits_2_naming_its_row(self, tmp_path, capsys):
         cfg = write_workspace(tmp_path)
@@ -474,6 +488,39 @@ class TestMine:
         ]
         assert not (out / "case_wet_roads_scatter.svg").exists()
         assert (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("full_universe", [False, True])
+    def test_consequent_that_no_record_holds_mines_zero_rules(
+        self, tmp_path, caplog, full_universe
+    ):
+        # a stratum can lack a declared category; that is a result, not an error
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config.update(features=["weather", "road"], full_universe=full_universe,
+                      filter_steps=[{"variable": "severity", "keep": ["other"]}])
+        config["cases"] = [dict(config["cases"][0], name="fatal", consequent="severity=fatal")]
+        cfg = write_workspace(tmp_path, config)
+        with caplog.at_level("WARNING", logger="rulekit"):
+            assert main(["mine", "--config", str(cfg)]) == 0
+        assert any("severity=fatal is not frequent" in r.message for r in caplog.records)
+        out = tmp_path / "out"
+        assert (out / "case_fatal_rules.csv").read_text().splitlines() == [
+            "ID,antecedents,S (%),C (%),L"
+        ]
+        meta = json.loads((out / "case_fatal_meta.json").read_text())
+        assert meta["rules_generated"] == 0
+        assert (out / "case_fatal_rules_full.csv").exists()
+        assert not (out / "case_fatal_scatter.svg").exists()
+        assert (out / "manifest.json").exists()
+
+    def test_consequent_category_the_dictionary_lacks_exits_2(self, tmp_path, capsys):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["features"] = ["weather"]
+        config["cases"][0]["consequent"] = "severity=fatl"
+        cfg = write_workspace(tmp_path, config)
+        assert main(["mine", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "failed in stage 'mine'" in err
+        assert "unknown category 'fatl' of variable 'severity'" in err
 
     def test_no_cases_is_a_config_problem(self, tmp_path, capsys):
         config = dict(BASE_CONFIG)

@@ -190,6 +190,20 @@ class TestGenerateRules:
         assert rules == []
         assert any("not frequent" in r.message for r in caplog.records)
 
+    def test_consequent_outside_the_universe_warns_and_returns_empty(self, caplog):
+        # a declared category that no record holds is not in an occurring-only universe
+        d = make_dictionary({"weather": ("rain", "clear"), "road": ("wet", "dry", "icy")})
+        rows = [{"weather": w, "road": r} for w in ("rain", "clear") for r in ("wet", "dry")]
+        case = MiningCase(name="absent", consequent=("road", "icy"),
+                          min_support=SupportSpec.of_count(1),
+                          min_confidence=0.1, min_lift=0.0)
+        ts, freq = _mine_case(make_records(d, rows * 3), case)
+        assert ("road", "icy") not in ts.universe.items
+        with caplog.at_level(logging.WARNING, logger="rulekit.rules"):
+            rules = generate_rules(freq, ts, case)
+        assert rules == []
+        assert any("road=icy is not frequent" in r.message for r in caplog.records)
+
     def test_missing_antecedent_subset_is_refused(self):
         rs, _, consequent, _ = planted_rule_records()
         case = MiningCase(name="gap", consequent=consequent,

@@ -25,7 +25,6 @@ from rulekit.errors import DictionaryError, IngestError, ValidationError
 from rulekit.schema import (
     DataDictionary,
     FilterStep,
-    Record,
     RecordSet,
     UnknownPolicy,
     VariableSchema,
@@ -35,7 +34,6 @@ from rulekit.schema import (
     load_dictionary,
     load_filter_steps,
     normalize_name,
-    write_records,
 )
 from rulekit.transactions import encode
 
@@ -467,40 +465,39 @@ class TestStreamingIngest:
         assert peak / n < 300, f"{peak / n:.0f} B/row"
 
 
-def test_write_records_round_trip(tmp_path, weather_dict):
-    rs = make_records(
-        weather_dict,
-        [
-            {"weather": "clear", "road": "dry"},
-            {"weather": "rain", "road": "wet"},
-        ],
-    )
-    path = tmp_path / "out.csv"
-    write_records(rs, path)
-    back = ingest(path, weather_dict)
-    assert [r.values for r in back.records] == [r.values for r in rs.records]
-    assert [r.record_id for r in back.records] == [r.record_id for r in rs.records]
-
-
 class TestRecordSetValidation:
-    def test_duplicate_record_ids(self, weather_dict):
-        rec = Record("1", {"weather": "clear", "road": "dry"})
-        with pytest.raises(ValidationError, match="duplicate"):
-            RecordSet(dictionary=weather_dict, records=(rec, rec))
-
     def test_value_coverage_enforced(self, weather_dict):
-        with pytest.raises(ValidationError):
-            RecordSet(
-                dictionary=weather_dict,
-                records=(Record("1", {"weather": "clear"}),),
-            )
+        # one row of codes per dictionary variable, one column per record id
+        for shape in [(1, 1), (2, 2), (3, 1), (2,)]:
+            with pytest.raises(ValidationError, match=r"shape \(2, 1\)"):
+                RecordSet(weather_dict, ("1",), np.zeros(shape, np.uint8))
+        with pytest.raises(ValidationError, match="integers"):
+            RecordSet(weather_dict, ("1",), np.zeros((2, 1), np.float64))
 
     def test_category_membership_enforced(self, weather_dict):
-        with pytest.raises(ValidationError):
-            RecordSet(
-                dictionary=weather_dict,
-                records=(Record("1", {"weather": "clear", "road": "gravel"}),),
-            )
+        # weather has 3 categories and road 2: codes lie in [0, 3) and [0, 2)
+        for bad, message in [
+            ([[0], [2]], "code 2 is not a category index of 'road', which has 2 categories"),
+            ([[3], [0]], "code 3 is not a category index of 'weather'"),
+            ([[-1], [0]], "code -1 is not a category index of 'weather'"),
+        ]:
+            with pytest.raises(ValidationError, match=message):
+                RecordSet(weather_dict, ("1",), np.array(bad, np.int64))
+
+    def test_codes_are_stored_narrow_and_read_only(self, weather_dict):
+        given = np.array([[2, 0, 1], [1, 1, 0]], np.int64)
+        rs = RecordSet(weather_dict, ("a", "b", "c"), given)
+        assert rs.codes.dtype == np.uint8
+        assert not rs.codes.flags.writeable
+        assert rs.codes.tolist() == given.tolist()
+        assert given.flags.writeable  # the caller's array was copied, not frozen
+        assert [dict(r.values) for r in rs.records] == [
+            {"weather": "unknown", "road": "wet"},
+            {"weather": "clear", "road": "wet"},
+            {"weather": "rain", "road": "dry"},
+        ]
+        # codes already in the stored dtype are kept, not copied
+        assert RecordSet(weather_dict, rs.record_ids, rs.codes).codes is rs.codes
 
     def test_record_views_are_read_only(self, weather_dict):
         rs = make_records(weather_dict, [{"weather": "clear", "road": "dry"}])
@@ -655,19 +652,34 @@ class TestCodes:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_undeclared_category_is_named(self, seed):
+        # a code past its variable's categories stands for no declared category
         rng = random.Random(seed)
         rs = random_record_set(rng)
-        victim = rng.randrange(len(rs))
-        var = rng.choice(rs.dictionary.names)
-        records = list(rs.records)
-        bad = records[victim]
-        records[victim] = Record(bad.record_id, {**bad.values, var: "undeclared"})
+        codes = rs.codes.astype(np.int64)
+        j = rng.randrange(len(rs.dictionary.names))
+        var = rs.dictionary.variables[j]
+        codes[j, rng.randrange(len(rs))] = rng.choice((len(var.categories), 255, -1))
         with pytest.raises(ValidationError) as info:
-            RecordSet(dictionary=rs.dictionary, records=tuple(records))
+            RecordSet(rs.dictionary, rs.record_ids, codes)
         message = str(info.value)
-        assert repr(bad.record_id) in message
-        assert "'undeclared'" in message
-        assert repr(var) in message
+        assert repr(var.name) in message
+        assert f"has {len(var.categories)} categories" in message
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_make_records_matches_ingest_of_the_same_rows(self, seed):
+        # the tests' builder and the production path build the same RecordSet
+        dictionary, rows = random_rows(random.Random(seed))
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(["crash_number", *dictionary.names])
+        writer.writerows([f"r{i}", *map(row.get, dictionary.names)] for i, row in enumerate(rows))
+        built = make_records(dictionary, rows)
+        read = ingest(io.StringIO(text.getvalue()), dictionary)
+        assert read == built
+        assert read.record_ids == built.record_ids
+        assert np.array_equal(read.codes, built.codes)
+        assert read.codes.dtype == built.codes.dtype
 
     def test_dtype_widens_with_the_widest_variable(self):
         wide = [f"c{i}" for i in range(300)]

@@ -101,10 +101,7 @@ def test_support_count_rejects_out_of_range(small_rs):
 def test_encode_requires_selection_and_records(small_rs):
     with pytest.raises(ValidationError):
         encode(small_rs, [])
-    d = small_rs.dictionary
-    from rulekit.schema import RecordSet
-
-    empty = RecordSet(dictionary=d, records=())
+    empty = make_records(small_rs.dictionary, [])
     with pytest.raises(ValidationError):
         encode(empty, ["weather"])
 
