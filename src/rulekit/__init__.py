@@ -6,6 +6,18 @@ encode records as transactions, mine frequent itemsets, and score, prune,
 and rank association rules, with CSV/JSON/SVG report artifacts throughout.
 """
 
+import os
+
+# Importing numpy loads OpenBLAS, which starts a worker pool sized to the
+# machine unless one of these variables is set. Nothing here uses it: the one
+# BLAS call, the matrix product in forest._score_partitions, sums integers
+# below 2**53, exact in float64 in any order, so the thread count cannot
+# change a result. On a 2-core VM the pool cost each process about 65 ms of
+# start-up, or about 0.12 s of CPU spinning beside the main thread. A caller's
+# setting of either variable is kept; child processes inherit this one.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .apriori import FrequentItemsets, SupportSpec, mine_frequent
 from .errors import DictionaryError, IngestError, RulekitError, ValidationError
 from .forest import (

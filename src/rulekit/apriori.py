@@ -15,7 +15,6 @@ of the chunk size, and the result stores each level only as these arrays.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -32,7 +31,6 @@ from .parallel import run_ordered
 # run_ordered) by name in this module.
 from .transactions import TransactionSet, support_count  # noqa: F401
 
-logger = logging.getLogger(__name__)
 
 Itemset = tuple[int, ...]
 
@@ -259,19 +257,7 @@ def mine_frequent(ts: TransactionSet, min_support: SupportSpec, max_len: int) ->
     if max_len < 1:
         raise ValidationError(f"max_len must be >= 1, got {max_len}")
     n = ts.n_transactions
-    threshold = min_support.resolve(n)
-    logger.info(
-        "min support %s resolved to count >= %d over %d transactions",
-        min_support.describe(),
-        threshold,
-        n,
-    )
-    if threshold > n:
-        logger.warning(
-            "resolved support count %d exceeds the %d transactions; no itemset can qualify",
-            threshold,
-            n,
-        )
+    threshold = min_support.resolve(n)  # run_case logs it
 
     n_items = len(ts.universe)
     _, variable = np.unique(

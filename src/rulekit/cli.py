@@ -9,7 +9,9 @@ validation problems, 1 for runtime and I/O failures. Error messages on
 stderr name the failing stage.
 
 ``--threads`` is still parsed and checked, a value below 1 exiting 2, but
-nothing reads it: every stage runs on one thread.
+nothing reads it: every stage runs on one OS thread. Importing the package
+sets ``OPENBLAS_NUM_THREADS=1`` unless ``OPENBLAS_NUM_THREADS`` or
+``OMP_NUM_THREADS`` is already set, so numpy's BLAS starts no worker pool.
 """
 
 from __future__ import annotations
@@ -421,12 +423,10 @@ def _mine(
             bundle.add(*emit_rule_table(result, out / f"case_{stem}_rules.csv"))
             export_case_csv(result, out / f"case_{stem}_rules_full.csv")
             export_case_metadata(result, out / f"case_{stem}_meta.json")
-            if result.rules:
+            if result.rules:  # run_case has warned of an empty case
                 bundle.add(
                     *emit_rule_scatter(result.rules, out / f"case_{stem}_scatter.svg")
                 )
-            else:
-                logger.warning("case %r yielded no rules; scatter skipped", case.name)
 
 
 def _read_selection(path: Path) -> tuple[str, ...]:
@@ -494,33 +494,35 @@ _COMMANDS = {
 }
 
 
+_HELP = {
+    "describe": "ingest, filter, and write summary plus cross-tabulations",
+    "select-vars": "train the forest and write the importance ranking",
+    "mine": "mine association rules for every configured case",
+    "pipeline": "describe, select-vars, and mine in one run",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rulekit",
         description=(
-            "Categorical pattern mining: descriptive cross-tabs, forest-based "
+            "Categorical pattern mining: descriptive cross-tabs, forest-based\n"
             "variable selection, and association rules with report artifacts."
         ),
+        epilog="commands:\n" + "".join(f"  {c:<13} {h}\n" for c, h in _HELP.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "describe": "ingest, filter, and write summary plus cross-tabulations",
-        "select-vars": "train the forest and write the importance ranking",
-        "mine": "mine association rules for every configured case",
-        "pipeline": "describe, select-vars, and mine in one run",
-    }
-    for name, help_text in helps.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="JSON run configuration path")
-        p.add_argument("--out", help="output directory (overrides the config)")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="accepted and checked (at least 1); has no effect",
-        )
-        p.add_argument("--seed", type=int, default=None, help="override the config's seed")
-        p.add_argument("-v", "--verbose", action="store_true", help="debug logging")
+    parser.add_argument("command", choices=_HELP, help="the command to run (see below)")
+    parser.add_argument("--config", required=True, help="JSON run configuration path")
+    parser.add_argument("--out", help="output directory (overrides the config)")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted and checked (at least 1); has no effect",
+    )
+    parser.add_argument("--seed", type=int, default=None, help="override the config's seed")
+    parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     return parser
 
 

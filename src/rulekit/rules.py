@@ -217,12 +217,6 @@ def generate_rules(freq: FrequentItemsets, ts: TransactionSet, case: MiningCase)
         is_y = np.zeros(len(count_y), dtype=bool)
         if case.consequent in ts.universe.items:
             is_y[ts.universe.item_id(*case.consequent)] = True
-        if not count_y[is_y].any():
-            logger.warning(
-                "consequent %s is not frequent at resolved support count %d; no rules",
-                item_token(case.consequent),
-                threshold,
-            )
         count_y[~is_y] = 0
 
     # Column j of a level's rows is the consequent and the other columns the
@@ -332,17 +326,40 @@ class CaseResult:
         }
 
 
+def _no_rules_cause(ts: TransactionSet, freq: FrequentItemsets, case: MiningCase) -> str:
+    """Why a case kept no rule, when one threshold alone explains it, else ''."""
+    n, threshold, y = ts.n_transactions, freq.min_support_count, case.consequent
+    if threshold > n:
+        return f": resolved support count {threshold} exceeds the {n} transactions"
+    if y is not None and (
+        y not in ts.universe.items or freq.support((ts.universe.item_id(*y),)) is None
+    ):
+        token = item_token(y)
+        return f": consequent {token} is not frequent at resolved support count {threshold}"
+    return ""
+
+
 def run_case(ts: TransactionSet, case: MiningCase) -> CaseResult:
-    """Full pipeline for one case: mine, generate, prune, rank."""
+    """Full pipeline for one case: mine, generate, prune, rank.
+
+    Logs the resolved support count once, and warns once of a case that
+    keeps no rule, naming its cause when one threshold alone explains it.
+    """
     n = ts.n_transactions
     resolved = case.min_support.resolve(n)
-    logger.info("case %r: resolved min support count = %d of %d", case.name, resolved, n)
+    logger.info(
+        "case %r: min support %s resolved to count >= %d of %d transactions",
+        case.name,
+        case.min_support.describe(),
+        resolved,
+        n,
+    )
     freq = mine_frequent(ts, case.min_support, case.max_rule_items)
     generated = generate_rules(freq, ts, case)
     pruned = prune_redundant(generated)
     ranked = rank_rules(pruned, case.top_k)
     if not ranked:
-        logger.warning("case %r produced no rules", case.name)
+        logger.warning("case %r produced no rules%s", case.name, _no_rules_cause(ts, freq, case))
     return CaseResult(
         case=case,
         rules=tuple(ranked),

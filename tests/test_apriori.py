@@ -144,16 +144,23 @@ def test_min_len_validation(tiny_ts):
         mine_frequent(tiny_ts, SupportSpec.of_count(1), max_len=0)
 
 
+def _case(min_support: SupportSpec) -> MiningCase:
+    return MiningCase(name="any", consequent=None, min_support=min_support,
+                      min_confidence=0.5, min_lift=0.0)
+
+
+# run_case, the miner's caller that knows the case, logs the resolved
+# threshold and the warning, so that each is logged once per case.
 def test_threshold_above_n_warns_and_returns_empty(tiny_ts, caplog):
-    with caplog.at_level(logging.WARNING, logger="rulekit.apriori"):
-        freq = mine_frequent(tiny_ts, SupportSpec.of_count(10), max_len=2)
-    assert len(freq) == 0
+    assert len(mine_frequent(tiny_ts, SupportSpec.of_count(10), max_len=2)) == 0
+    with caplog.at_level(logging.WARNING, logger="rulekit.rules"):
+        assert run_case(tiny_ts, _case(SupportSpec.of_count(10))).rules == ()
     assert any("exceeds" in rec.message for rec in caplog.records)
 
 
 def test_resolved_threshold_is_logged(tiny_ts, caplog):
-    with caplog.at_level(logging.INFO, logger="rulekit.apriori"):
-        mine_frequent(tiny_ts, SupportSpec.of_fraction(0.5), max_len=1)
+    with caplog.at_level(logging.INFO, logger="rulekit.rules"):
+        run_case(tiny_ts, _case(SupportSpec.of_fraction(0.5)))
     assert any("resolved" in rec.message for rec in caplog.records)
 
 

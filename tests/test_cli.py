@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -512,6 +513,24 @@ class TestMine:
         assert not (out / "case_fatal_scatter.svg").exists()
         assert (out / "manifest.json").exists()
 
+    def test_an_empty_case_warns_once_and_each_threshold_logs_once(self, tmp_path, caplog):
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config.update(features=["weather", "road"],
+                      filter_steps=[{"variable": "severity", "keep": ["other"]}])
+        wet = config["cases"][0]
+        config["cases"] = [dict(wet, name="fatal", consequent="severity=fatal"),
+                           dict(wet, name="strict", min_lift=50.0), wet]
+        cfg = write_workspace(tmp_path, config)
+        with caplog.at_level("INFO", logger="rulekit"):
+            assert main(["mine", "--config", str(cfg)]) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == 2
+        assert warnings[0].startswith("case 'fatal' produced no rules")
+        assert "severity=fatal is not frequent" in warnings[0]
+        assert warnings[1] == "case 'strict' produced no rules"
+        infos = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert len([m for m in infos if "resolved" in m]) == len(config["cases"])
+
     def test_consequent_category_the_dictionary_lacks_exits_2(self, tmp_path, capsys):
         config = json.loads(json.dumps(BASE_CONFIG))
         config["features"] = ["weather"]
@@ -529,6 +548,33 @@ class TestMine:
         cfg = write_workspace(tmp_path, config)
         assert main(["mine", "--config", str(cfg)]) == 2
         assert "no mining cases" in capsys.readouterr().err
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [
+        ["bogus", "--config", "config.json"],
+        ["pipeline"],
+        [],
+    ], ids=["unknown-command", "no-config", "no-command"])
+    def test_bad_command_lines_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: rulekit")
+
+    def test_help_lists_every_command_and_what_it_does(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for command in ("describe", "select-vars", "mine", "pipeline"):
+            described = [line.split() for line in lines if line.split()[:1] == [command]]
+            assert len(described) == 1 and len(described[0]) > 2, command
+
+    def test_flags_may_precede_the_command(self, tmp_path):
+        cfg = write_workspace(tmp_path)
+        assert main(["--config", str(cfg), "--seed", "1", "describe"]) == 0
+        assert (tmp_path / "out" / "summary.json").exists()
 
 
 class TestThreadsAndSeed:
@@ -628,26 +674,56 @@ class TestPipeline:
         assert "road=wet" in items
 
 
-def test_commands_leave_slow_imports_unloaded(tmp_path):
-    # numpy.ma (which a plain np.unique loads on numpy 2.4) and the network
-    # modules behind xml.sax.saxutils cost tens of ms of every run's start-up.
-    script = (
-        "import sys\n"
-        "from rulekit.cli import main\n"
-        "config, out = sys.argv[1:]\n"
-        "assert main(['pipeline', '--config', config, '--out', out]) == 0\n"
-        "assert main(['mine', '--config', config, '--out', out]) == 0\n"
-        "slow = ('numpy.ma', 'urllib.request', 'http.client', 'ssl', 'xml.sax')\n"
-        "print(','.join(m for m in slow if m in sys.modules))\n"
-    )
+# The variables OpenBLAS reads its thread count from, the first one first.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh_python(script: str, *args: str, **env: str) -> str:
+    """stdout of ``script`` in a new interpreter that imports this checkout's
+    rulekit, with neither BLAS thread variable inherited unless given in ``env``."""
     src = str(Path(rulekit.__file__).resolve().parent.parent)
     paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    child_env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+    child_env.update(env, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     done = subprocess.run(
-        [sys.executable, "-c", script, str(SAMPLE_CONFIG), str(tmp_path / "out")],
-        env=env,
+        [sys.executable, "-c", script, *args],
+        env=child_env,
         capture_output=True,
         text=True,
         check=True,
     )
-    assert done.stdout.strip() == ""
+    return done.stdout.strip()
+
+
+def test_commands_leave_slow_imports_unloaded(tmp_path):
+    # numpy.ma (which a plain np.unique loads on numpy 2.4) and the network
+    # modules behind xml.sax.saxutils cost tens of ms of every run's start-up;
+    # an OpenBLAS worker pool, which no stage uses, costs as much again.
+    script = (
+        "import os, sys\n"
+        "from rulekit.cli import main\n"
+        "config, out = sys.argv[1:]\n"
+        "assert main(['pipeline', '--config', config, '--out', out]) == 0\n"
+        "assert main(['mine', '--config', config, '--out', out]) == 0\n"
+        "tasks = '/proc/self/task'\n"
+        "assert not os.path.isdir(tasks) or len(os.listdir(tasks)) == 1, os.listdir(tasks)\n"
+        "slow = ('numpy.ma', 'urllib.request', 'http.client', 'ssl', 'xml.sax')\n"
+        "print(','.join(m for m in slow if m in sys.modules))\n"
+    )
+    assert _fresh_python(script, str(SAMPLE_CONFIG), str(tmp_path / "out")) == ""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+    reason="counts threads under /proc on a machine with two or more cores",
+)
+@pytest.mark.parametrize("variable", _BLAS_THREADS)
+def test_a_callers_blas_thread_count_is_kept(variable):
+    script = (
+        "import os, rulekit\n"
+        "print(len(os.listdir('/proc/self/task')))\n"
+        f"print([os.environ.get(v) for v in {_BLAS_THREADS!r}])\n"
+    )
+    threads, env = _fresh_python(script, **{variable: "2"}).splitlines()
+    assert threads == "2"
+    assert env == repr(["2" if v == variable else None for v in _BLAS_THREADS])

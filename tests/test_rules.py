@@ -185,9 +185,9 @@ class TestGenerateRules:
                           min_support=SupportSpec.of_count(1100),
                           min_confidence=0.1, min_lift=0.0)
         ts, freq = _mine_case(rs, case)
+        assert generate_rules(freq, ts, case) == []
         with caplog.at_level(logging.WARNING, logger="rulekit.rules"):
-            rules = generate_rules(freq, ts, case)
-        assert rules == []
+            assert run_case(ts, case).rules == ()
         assert any("not frequent" in r.message for r in caplog.records)
 
     def test_consequent_outside_the_universe_warns_and_returns_empty(self, caplog):
@@ -199,9 +199,9 @@ class TestGenerateRules:
                           min_confidence=0.1, min_lift=0.0)
         ts, freq = _mine_case(make_records(d, rows * 3), case)
         assert ("road", "icy") not in ts.universe.items
+        assert generate_rules(freq, ts, case) == []
         with caplog.at_level(logging.WARNING, logger="rulekit.rules"):
-            rules = generate_rules(freq, ts, case)
-        assert rules == []
+            assert run_case(ts, case).rules == ()
         assert any("road=icy is not frequent" in r.message for r in caplog.records)
 
     def test_missing_antecedent_subset_is_refused(self):
@@ -508,6 +508,27 @@ class TestRunCase:
             result = run_case(ts, case)
         assert result.rules == ()
         assert any("no rules" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("support, min_lift, cause", [
+        (SupportSpec.of_count(1100), 0.0,
+         ": consequent road=dry is not frequent at resolved support count 1100"),
+        (SupportSpec.of_count(1801), 0.0,
+         ": resolved support count 1801 exceeds the 1800 transactions"),
+        (SupportSpec.of_count(1), 3.0, ""),
+    ], ids=["infrequent-consequent", "count-above-n", "no-rule-clears-lift"])
+    def test_an_empty_case_warns_once_and_logs_its_threshold_once(
+        self, caplog, support, min_lift, cause
+    ):
+        rs, _, _, _ = planted_rule_records()
+        ts = encode(rs, list(rs.dictionary.names))
+        case = MiningCase(name="empty", consequent=("road", "dry"), min_support=support,
+                          min_confidence=0.1, min_lift=min_lift)
+        with caplog.at_level(logging.INFO, logger="rulekit"):
+            assert run_case(ts, case).rules == ()
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert warnings == ["case 'empty' produced no rules" + cause]
+        infos = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert len([m for m in infos if "resolved" in m]) == 1
 
 
 def test_export_case_csv_formats(tmp_path):
