@@ -35,7 +35,6 @@ from .rules import CaseResult, MiningCase, Rule, RuleTable, generate_rules, \
 from .schema import (
     DataDictionary,
     FilterStep,
-    Record,
     RecordSet,
     UnknownPolicy,
     VariableSchema,
@@ -62,7 +61,6 @@ __all__ = [
     "IngestError",
     "ItemUniverse",
     "MiningCase",
-    "Record",
     "RecordSet",
     "ReportBundle",
     "Rule",

@@ -20,12 +20,10 @@ from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .io_utils import write_csv
 from .parallel import run_ordered
 # support_count is not called here, but perfbench/tracer.py patches it (and
 # run_ordered) by name in this module.
@@ -278,12 +276,3 @@ def mine_frequent(ts: TransactionSet, min_support: SupportSpec, max_len: int) ->
     return FrequentItemsets(
         levels=levels, min_support_count=threshold, max_len=max_len, n_transactions=n
     )
-
-
-def dump_itemsets(freq: FrequentItemsets, ts: TransactionSet, sink: str | Path) -> Path:
-    """CSV dump with columns (level, items, support_count, support_fraction)."""
-    rows = []
-    for itemset, count in freq:
-        tokens = " ".join(ts.universe.token(i) for i in itemset)
-        rows.append([len(itemset), tokens, count, repr(count / freq.n_transactions)])
-    return write_csv(sink, ["level", "items", "support_count", "support_fraction"], rows)

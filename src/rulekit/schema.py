@@ -4,7 +4,9 @@ The dictionary declares every categorical variable with its ordered category
 list (coded scales such as lighting conditions or injury severity live here).
 Records are validated against it at ingest time: each record carries exactly
 one category per variable, and "unknown" is an ordinary category that is
-never dropped silently. All types are immutable after construction.
+never dropped silently. Ingest strips every cell, so a category with
+surrounding whitespace is refused. All types are immutable after
+construction.
 
 A RecordSet stores its records in columnar form only: the record ids plus
 one read-only category-code matrix that every later stage reads, and its
@@ -12,8 +14,6 @@ one constructor takes exactly those. Ingest (which holds one chunk of CSV
 rows at a time, besides the ids and codes) and filter steps turn category
 strings into codes through one helper, ``_category_codes``, which alone
 decides which strings a variable accepts; filtering slices the matrix.
-``RecordSet.records`` is a view of per-row ``Record``s, built from the codes
-on first access.
 """
 
 from __future__ import annotations
@@ -23,11 +23,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from itertools import compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from types import MappingProxyType
 from typing import IO, Mapping, Sequence
 
 import numpy as np
@@ -72,8 +70,11 @@ class VariableSchema:
             )
         seen = set()
         for cat in self.categories:
-            if not cat:
-                raise DictionaryError(f"variable {self.name!r} has an empty category name")
+            if not cat or cat != cat.strip():  # ingest strips cells, so none could match
+                raise DictionaryError(
+                    f"variable {self.name!r} has category {cat!r}, which is empty or "
+                    f"has surrounding whitespace"
+                )
             if cat in seen:
                 raise DictionaryError(f"variable {self.name!r} has duplicate category {cat!r}")
             seen.add(cat)
@@ -175,14 +176,6 @@ def load_dictionary(source: str | Path | Mapping) -> DataDictionary:
 
 
 @dataclass(frozen=True)
-class Record:
-    """One crash-unit row: a unique id plus one category per variable."""
-
-    record_id: str
-    values: Mapping[str, str]
-
-
-@dataclass(frozen=True)
 class FilterLogEntry:
     description: str
     records_before: int
@@ -231,8 +224,8 @@ class RecordSet:
     shape (n_variables, n_records)), which holds in row j each record's
     category index in the j-th dictionary variable, in the smallest unsigned
     dtype that fits the widest variable (uint8 up to 256 categories).
-    ``records`` is a view of them, built on first access. The constructor
-    checks the codes; record ids are checked where they are read, by ingest.
+    The constructor checks the codes; record ids are checked where they are
+    read, by ingest.
     """
 
     dictionary: DataDictionary
@@ -258,19 +251,6 @@ class RecordSet:
         codes = self.codes.astype(_codes_dtype(self.dictionary), copy=False)
         codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
-
-    @cached_property
-    def records(self) -> tuple[Record, ...]:
-        """The rows as ``Record``s whose ``values`` are read-only mappings."""
-        names = self.dictionary.names
-        columns = [
-            map(var.categories.__getitem__, row.tolist())
-            for var, row in zip(self.dictionary.variables, self.codes)
-        ]
-        return tuple(
-            Record(rid, MappingProxyType(dict(zip(names, cells))))
-            for rid, *cells in zip(self.record_ids, *columns)
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RecordSet):

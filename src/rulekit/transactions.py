@@ -12,13 +12,11 @@ Algorithms for Association Mining", IEEE TKDE 2000).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .io_utils import atomic_write_text
 from .schema import RecordSet
 
 Item = tuple[str, str]
@@ -168,16 +166,3 @@ def item_frequencies(ts: TransactionSet) -> tuple[ItemFrequency, ...]:
         )
     freqs.sort(key=lambda f: (-f.count, f.item_id))
     return tuple(freqs)
-
-
-def dump_transactions(ts: TransactionSet, sink: str | Path) -> Path:
-    """Debug dump: one line per transaction, space-separated item tokens."""
-    membership = np.unpackbits(
-        ts.bitmaps.view(np.uint8), axis=1, count=ts.n_transactions, bitorder="little"
-    )
-    tokens = [ts.universe.token(i) for i in range(len(ts.universe))]
-    lines = [
-        " ".join(tokens[i] for i in np.flatnonzero(column))
-        for column in membership.T
-    ]
-    return atomic_write_text(sink, "\n".join(lines) + "\n")

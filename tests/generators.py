@@ -74,6 +74,16 @@ def make_records(
     )
 
 
+def rows_of(rs: RecordSet) -> list[tuple[str, dict[str, str]]]:
+    """Each record as ``(record_id, {variable: category})``, decoded from ``rs.codes``."""
+    names = rs.dictionary.names
+    columns = [
+        [var.categories[code] for code in row.tolist()]
+        for var, row in zip(rs.dictionary.variables, rs.codes)
+    ]
+    return [(rid, dict(zip(names, cells))) for rid, *cells in zip(rs.record_ids, *columns)]
+
+
 def random_record_set(rng: random.Random, max_items: int = 12, max_transactions: int = 64) -> RecordSet:
     """Random categorical records; the occurring-item universe stays small."""
     return make_records(*random_rows(rng, max_items, max_transactions))
@@ -194,7 +204,7 @@ def planted_mda_records(
 
 def record_itemsets(rs: RecordSet, variables: Sequence[str]) -> list[frozenset[Item]]:
     return [
-        frozenset((v, rec.values[v]) for v in variables) for rec in rs.records
+        frozenset((v, values[v]) for v in variables) for _, values in rows_of(rs)
     ]
 
 
@@ -503,14 +513,14 @@ def reference_ingest(
 
 
 def reference_cross_tabulate(rs: RecordSet, row_var: str, col_var: str) -> CrossTab:
-    """Cross-tabulation by one pass over the record dicts."""
+    """Cross-tabulation by one pass over the decoded rows."""
     row_cats = rs.dictionary.variable(row_var).categories
     col_cats = rs.dictionary.variable(col_var).categories
     row_idx = {c: i for i, c in enumerate(row_cats)}
     col_idx = {c: i for i, c in enumerate(col_cats)}
     cells = [[0] * len(col_cats) for _ in row_cats]
-    for rec in rs.records:
-        cells[row_idx[rec.values[row_var]]][col_idx[rec.values[col_var]]] += 1
+    for _, values in rows_of(rs):
+        cells[row_idx[values[row_var]]][col_idx[values[col_var]]] += 1
     return CrossTab(
         row_variable=row_var,
         col_variable=col_var,
@@ -590,7 +600,7 @@ def reference_train(
     rs: RecordSet, response: str, features: Sequence[str], cfg: ForestConfig
 ) -> list[tuple[tuple[TreeNode, ...], np.ndarray]]:
     """(nodes, in_bag) per tree, each tree on its own (seed, 0, index) stream."""
-    rows = [rec.values for rec in rs.records]
+    rows = [values for _, values in rows_of(rs)]
     X = reference_encode(rs.dictionary, rows, features)
     y = reference_encode(rs.dictionary, rows, (response,))[:, 0]
     n_cats = np.array(
@@ -633,7 +643,7 @@ def reference_tree_predict(
 
 
 def _forest_arrays(forest: Forest, rs: RecordSet):
-    rows = [rec.values for rec in rs.records]
+    rows = [values for _, values in rows_of(rs)]
     X = reference_encode(rs.dictionary, rows, forest.features)
     y = reference_encode(rs.dictionary, rows, (forest.response_variable,))[:, 0]
     n_cats = np.array(

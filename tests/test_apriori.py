@@ -1,10 +1,8 @@
 """Support thresholds and level-wise frequent itemset mining."""
 
-import csv
 import logging
 import math
 import random
-import tempfile
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,7 +21,7 @@ from generators import (
     reference_mine_frequent,
 )
 from rulekit import parallel, transactions
-from rulekit.apriori import FrequentItemsets, SupportSpec, dump_itemsets, mine_frequent
+from rulekit.apriori import FrequentItemsets, SupportSpec, mine_frequent
 from rulekit.errors import ValidationError
 from rulekit.rules import MiningCase, generate_rules, run_case
 from rulekit.transactions import encode, support_count
@@ -199,20 +197,10 @@ def test_levels_are_sorted_lexicographically(tiny_ts):
         assert all(tuple(sorted(i)) == i for i in itemsets)
 
 
-def test_dump_itemsets_csv(tmp_path, tiny_ts):
-    freq = mine_frequent(tiny_ts, SupportSpec.of_count(2), 2)
-    path = tmp_path / "itemsets.csv"
-    dump_itemsets(freq, tiny_ts, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "level,items,support_count,support_fraction"
-    assert len(lines) == 1 + len(freq)
-    assert any("a=a1 b=b1" in line for line in lines)
-
-
 def _assert_same_levels(got: FrequentItemsets, want: FrequentItemsets, ts) -> None:
     """The miner's result equals the reference's through every reader:
-    level arrays, ``by_level`` views, iteration, ``len``, ``support`` and
-    ``dump_itemsets``."""
+    level arrays, ``by_level`` views, iteration, ``len`` and ``support``."""
+    assert got.n_transactions == want.n_transactions
     assert got.levels.keys() == want.levels.keys()
     for k, (items, counts) in got.levels.items():
         assert (items == want.levels[k][0]).all() and (counts == want.levels[k][1]).all()
@@ -238,14 +226,6 @@ def _assert_same_levels(got: FrequentItemsets, want: FrequentItemsets, ts) -> No
             if len(changed) == len(itemset):
                 assert got.support(changed) == frequent.get(changed)
     assert got.support(tuple(range(max(got.levels, default=0) + 1))) is None
-    with tempfile.TemporaryDirectory() as tmp:
-        with open(dump_itemsets(got, ts, f"{tmp}/itemsets.csv"), newline="") as fh:
-            rows = list(csv.reader(fh))
-    assert rows[1:] == [
-        [str(len(itemset)), " ".join(map(ts.universe.token, itemset)), str(count),
-         repr(count / want.n_transactions)]
-        for itemset, count in flat
-    ]
 
 
 @settings(max_examples=40, deadline=None)

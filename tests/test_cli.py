@@ -375,6 +375,16 @@ class TestConfigErrors:
             hashes.add(json.loads((out / "manifest.json").read_text())["config_hash"])
         assert len(metas) == 1 and len(hashes) == 1
 
+    def test_dictionary_category_with_surrounding_whitespace_exits_2(self, tmp_path, capsys):
+        cfg = write_workspace(tmp_path)
+        doc = json.loads((tmp_path / "dictionary.json").read_text())
+        doc["variables"][2]["categories"] = [" rain", "clear"]
+        (tmp_path / "dictionary.json").write_text(json.dumps(doc))
+        assert main(["describe", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "failed in stage 'ingest'" in err
+        assert "'weather'" in err and "' rain'" in err
+
     @pytest.mark.parametrize(
         "name,stage,needle",
         [
@@ -678,16 +688,21 @@ class TestPipeline:
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _fresh_python(script: str, *args: str, **env: str) -> str:
-    """stdout of ``script`` in a new interpreter that imports this checkout's
-    rulekit, with neither BLAS thread variable inherited unless given in ``env``."""
+def _child_env(**env: str) -> dict[str, str]:
+    """An environment that imports this checkout's rulekit, with neither BLAS
+    thread variable inherited unless given in ``env``."""
     src = str(Path(rulekit.__file__).resolve().parent.parent)
     paths = [src, os.environ.get("PYTHONPATH")]
     child_env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
     child_env.update(env, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return child_env
+
+
+def _fresh_python(script: str, *args: str, **env: str) -> str:
+    """stdout of ``script`` in a new interpreter with ``_child_env(**env)``."""
     done = subprocess.run(
         [sys.executable, "-c", script, *args],
-        env=child_env,
+        env=_child_env(**env),
         capture_output=True,
         text=True,
         check=True,
@@ -727,3 +742,22 @@ def test_a_callers_blas_thread_count_is_kept(variable):
     threads, env = _fresh_python(script, **{variable: "2"}).splitlines()
     assert threads == "2"
     assert env == repr(["2" if v == variable else None for v in _BLAS_THREADS])
+
+
+def test_the_benchmark_tracer_finds_every_name_it_patches(tmp_path):
+    # perfbench/tracer.py wraps rulekit functions by the names they are looked
+    # up under, so a renamed or deleted one fails every traced run. Its
+    # coverage gate depends on timing and is left to the benchmark.
+    tracer = SAMPLE_CONFIG.parent.parent / "perfbench" / "tracer.py"
+    result = tmp_path / "result.json"
+    argv = ["pipeline", "--config", str(SAMPLE_CONFIG), "--out", str(tmp_path / "out")]
+    done = subprocess.run(
+        [sys.executable, str(tracer), str(result), str(tmp_path / "spans.jsonl"), "--", *argv],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    metrics = json.loads(result.read_text())["metrics"]
+    assert metrics["forest.tree_nodes"] > 0
+    assert metrics["apriori.frequent_itemsets"] > 0

@@ -19,6 +19,7 @@ from generators import (
     reference_mda,
     reference_oob_predict,
     reference_train,
+    rows_of,
 )
 from rulekit.cli import load_config
 from rulekit.errors import ValidationError
@@ -265,7 +266,7 @@ class TestOobPredict:
 
     def test_same_size_record_set_with_one_changed_value(self, separable_rs):
         f = train(separable_rs, "label", ["flag"], ForestConfig(n_trees=4, seed=0))
-        rows = [dict(r.values) for r in separable_rs.records]
+        rows = [values for _, values in rows_of(separable_rs)]
         rows[3]["label"] = "no" if rows[3]["label"] == "yes" else "yes"
         changed = make_records(separable_rs.dictionary, rows)
         assert len(changed) == len(separable_rs)
@@ -339,7 +340,7 @@ class TestMdaImportance:
         rs, predictor, noise = planted_mda_records(n=200)
         spec = {v.name: v.categories for v in rs.dictionary.variables}
         d = make_dictionary({"const": ("k", "other"), **spec})
-        rs = make_records(d, [{**r.values, "const": "k"} for r in rs.records])
+        rs = make_records(d, [{**values, "const": "k"} for _, values in rows_of(rs)])
         f = train(rs, "resp", [predictor, "const", *noise], ForestConfig(n_trees=20, seed=3))
         report = mda_importance(f, rs, seed=3)
         (const,) = [e for e in report.entries if e.variable == "const"]

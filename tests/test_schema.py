@@ -19,6 +19,7 @@ from generators import (
     reference_cross_tabulate,
     reference_encode,
     reference_ingest,
+    rows_of,
 )
 from rulekit import schema
 from rulekit.errors import DictionaryError, IngestError, ValidationError
@@ -35,7 +36,6 @@ from rulekit.schema import (
     load_filter_steps,
     normalize_name,
 )
-from rulekit.transactions import encode
 
 
 def test_normalize_name_collapses_whitespace_and_case():
@@ -66,6 +66,13 @@ class TestVariableSchema:
     def test_rejects_bad_role_hint(self):
         with pytest.raises(ValidationError):
             VariableSchema(name="weather", categories=("a", "b"), role_hint="target")
+
+    @pytest.mark.parametrize("category", ["", " rain", "rain\t", " ", "\n"])
+    def test_rejects_a_category_that_ingest_could_never_read(self, category):
+        # ingest strips every cell, so no cell could ever match such a category
+        with pytest.raises(DictionaryError, match="weather") as exc:
+            VariableSchema(name="weather", categories=(category, "clear"))
+        assert repr(category) in str(exc.value)
 
 
 class TestDataDictionary:
@@ -143,9 +150,10 @@ class TestIngest:
             _csv("Crash Number,WEATHER,Road\n1,clear,dry\n2,rain,wet\n"),
             weather_dict,
         )
-        assert len(rs) == 2
-        assert rs.records[0].record_id == "1"
-        assert rs.records[1].values == {"weather": "rain", "road": "wet"}
+        assert rows_of(rs) == [
+            ("1", {"weather": "clear", "road": "dry"}),
+            ("2", {"weather": "rain", "road": "wet"}),
+        ]
 
     @pytest.mark.parametrize("id_column", ["Crash_Number", " Case  ID "])
     def test_record_id_column_is_matched_after_normalization(self, weather_dict, id_column):
@@ -162,7 +170,7 @@ class TestIngest:
             _csv("crash_number,weather,road,notes\n1,clear,dry,whatever\n"),
             weather_dict,
         )
-        assert rs.records[0].values == {"weather": "clear", "road": "dry"}
+        assert rows_of(rs) == [("1", {"weather": "clear", "road": "dry"})]
 
     def test_missing_column(self, weather_dict):
         with pytest.raises(IngestError, match="missing column"):
@@ -197,7 +205,7 @@ class TestIngest:
             weather_dict,
             policy=UnknownPolicy.COERCE,
         )
-        assert rs.records[0].values["weather"] == "unknown"
+        assert rows_of(rs) == [("1", {"weather": "unknown", "road": "dry"})]
 
     def test_coerce_without_unknown_category_still_rejects(self, weather_dict):
         # road declares no wildcard category, so coercion has nowhere to go
@@ -210,7 +218,7 @@ class TestIngest:
 
     def test_missing_value_becomes_unknown_when_declared(self, weather_dict):
         rs = ingest(_csv("crash_number,weather,road\n1,,dry\n"), weather_dict)
-        assert rs.records[0].values["weather"] == "unknown"
+        assert rows_of(rs) == [("1", {"weather": "unknown", "road": "dry"})]
 
     def test_missing_value_without_unknown_category(self, weather_dict):
         with pytest.raises(IngestError, match="road"):
@@ -226,25 +234,24 @@ class TestIngest:
     def test_blank_lines_are_skipped_but_counted(self, weather_dict):
         text = "crash_number,weather,road\n\n1,clear,dry\n\n2,rain,wet\n\n"
         rs = ingest(_csv(text), weather_dict)
-        assert [r.record_id for r in rs.records] == ["1", "2"]
+        assert rs.record_ids == ("1", "2")
         with pytest.raises(IngestError, match=r"^row 5: value 'sleet'"):
             ingest(_csv(text.replace("rain", "sleet")), weather_dict)
 
     def test_short_row_cells_are_missing_values(self):
         d = make_dictionary({"road": ("dry", "wet"), "weather": ("clear", "unknown")})
         rs = ingest(_csv("crash_number,road,weather\n1,dry\n"), d)
-        assert rs.records[0].values == {"road": "dry", "weather": "unknown"}
+        assert rows_of(rs) == [("1", {"road": "dry", "weather": "unknown"})]
         with pytest.raises(IngestError, match=r"^row 2: missing value for 'road'"):
             ingest(_csv("crash_number,road,weather\n1\n"), d)
 
     def test_long_row_extra_cells_are_ignored(self, weather_dict):
         rs = ingest(_csv("crash_number,weather,road\n1,clear,dry,gravel,9\n"), weather_dict)
-        assert rs.records[0].values == {"weather": "clear", "road": "dry"}
+        assert rows_of(rs) == [("1", {"weather": "clear", "road": "dry"})]
 
     def test_cells_are_stripped(self, weather_dict):
         rs = ingest(_csv("crash_number,weather,road\n 7 , rain ,\twet \n"), weather_dict)
-        assert rs.records[0].record_id == "7"
-        assert rs.records[0].values == {"weather": "rain", "road": "wet"}
+        assert rows_of(rs) == [("7", {"weather": "rain", "road": "wet"})]
 
     def test_empty_cell_under_coerce_becomes_unknown(self, weather_dict):
         rs = ingest(
@@ -252,7 +259,7 @@ class TestIngest:
             weather_dict,
             policy=UnknownPolicy.COERCE,
         )
-        assert [r.values["weather"] for r in rs.records] == ["unknown", "unknown"]
+        assert [values["weather"] for _, values in rows_of(rs)] == ["unknown", "unknown"]
         with pytest.raises(IngestError, match=r"^row 2: missing value for 'road'"):
             ingest(
                 _csv("crash_number,weather,road\n1,clear,\n"),
@@ -263,7 +270,7 @@ class TestIngest:
     def test_row_number_is_the_line_number_past_quoted_newlines(self, weather_dict):
         header = "crash_number,weather,road,notes\n"
         rs = ingest(_csv(header + '1,clear,dry,"two\nlines"\n2,rain,wet,x\n'), weather_dict)
-        assert [r.record_id for r in rs.records] == ["1", "2"]
+        assert rs.record_ids == ("1", "2")
         with pytest.raises(IngestError, match=r"^row 4: value 'sleet'"):
             ingest(_csv(header + '1,clear,dry,"two\nlines"\n2,sleet,wet,x\n'), weather_dict)
         with pytest.raises(IngestError, match=r"^row 3: value 'sleet'"):
@@ -289,7 +296,7 @@ class TestIngest:
         path = tmp_path / "bom.csv"
         path.write_bytes("crash_number,weather,road\n1,clear,dry\n".encode("utf-8-sig"))
         rs = ingest(path, weather_dict)
-        assert rs.records[0].record_id == "1"
+        assert rows_of(rs) == [("1", {"weather": "clear", "road": "dry"})]
 
     def test_unparsable_record_names_its_row(self, weather_dict):
         huge = '"' + "x" * 200_000 + '"'
@@ -337,7 +344,8 @@ class TestIngest:
         d = make_dictionary({"weather": ("clear", "grésil")})
         path = tmp_path / "records.csv"
         path.write_bytes("crash_number,weather\n1,grésil\n2,clear\n".encode())
-        assert ingest(path, d).records[0].values == {"weather": "grésil"}
+        rs = ingest(path, d)
+        assert rows_of(rs) == [("1", {"weather": "grésil"}), ("2", {"weather": "clear"})]
 
 
 def _random_csv(rng: random.Random, chunk: int):
@@ -491,29 +499,14 @@ class TestRecordSetValidation:
         assert not rs.codes.flags.writeable
         assert rs.codes.tolist() == given.tolist()
         assert given.flags.writeable  # the caller's array was copied, not frozen
-        assert [dict(r.values) for r in rs.records] == [
-            {"weather": "unknown", "road": "wet"},
-            {"weather": "clear", "road": "wet"},
-            {"weather": "rain", "road": "dry"},
+        assert rows_of(rs) == [
+            ("a", {"weather": "unknown", "road": "wet"}),
+            ("b", {"weather": "clear", "road": "wet"}),
+            ("c", {"weather": "rain", "road": "dry"}),
         ]
         # codes already in the stored dtype are kept, not copied
         assert RecordSet(weather_dict, rs.record_ids, rs.codes).codes is rs.codes
 
-    def test_record_views_are_read_only(self, weather_dict):
-        rs = make_records(weather_dict, [{"weather": "clear", "road": "dry"}])
-        with pytest.raises(TypeError):
-            rs.records[0].values["weather"] = "rain"
-        assert rs.records[0].values["weather"] == "clear"
-        assert rs.codes[0].tolist() == [0]
-
-    def test_ingest_filter_encode_leave_the_record_views_unbuilt(self, weather_dict):
-        rs = ingest(_csv("crash_number,weather,road\n1,clear,dry\n2,rain,wet\n"), weather_dict)
-        out = filter_records(rs, (FilterStep("road", frozenset({"wet"})),))
-        ts = encode(out, ("weather", "road"))
-        assert ts.n_transactions == 1
-        assert "records" not in vars(rs) and "records" not in vars(out)
-        assert out.record_ids == ("2",)
-        assert out.records[0].values == {"weather": "rain", "road": "wet"}
 
 
 class TestFilter:
@@ -585,7 +578,7 @@ def test_filter_never_grows_and_is_idempotent(seed):
     once = filter_records(rs, (step,))
     twice = filter_records(once, (step,))
     assert len(once) <= len(rs)
-    assert [r.record_id for r in twice.records] == [r.record_id for r in once.records]
+    assert twice.record_ids == once.record_ids
 
 
 class TestCrossTab:
@@ -626,7 +619,7 @@ class TestCodes:
         rs = make_records(dictionary, rows)
         names = dictionary.names
         assert np.array_equal(rs.codes, reference_encode(dictionary, rows, names).T)
-        assert [dict(rec.values) for rec in rs.records] == rows
+        assert [values for _, values in rows_of(rs)] == rows
         assert rs.codes.dtype == np.uint8
         assert not rs.codes.flags.writeable
         with pytest.raises(ValueError):
@@ -639,7 +632,7 @@ class TestCodes:
         kept = [i for i, row in enumerate(rows) if row[var] in keep]
         assert out.codes.shape == (len(names), len(kept))
         assert np.array_equal(out.codes, reference_encode(dictionary, rows, names)[kept].T)
-        assert [rec.record_id for rec in out.records] == [f"r{i}" for i in kept]
+        assert out.record_ids == tuple(f"r{i}" for i in kept)
 
         row_var, col_var = rng.choice(names), rng.choice(names)
         assert cross_tabulate(rs, row_var, col_var) == reference_cross_tabulate(

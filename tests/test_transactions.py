@@ -16,7 +16,6 @@ from generators import (
 )
 from rulekit.errors import ValidationError
 from rulekit.transactions import (
-    dump_transactions,
     encode,
     item_frequencies,
     item_token,
@@ -178,13 +177,3 @@ def test_support_count_ignores_padding_bits(n):
         assert support_count(ts, ids) == want
     by_id = sorted(item_frequencies(ts), key=lambda f: f.item_id)
     assert [f.count for f in by_id] == [oracle_support(transactions, [i]) for i in items]
-
-
-def test_dump_transactions(tmp_path, small_rs):
-    ts = encode(small_rs, ["weather", "road"])
-    path = tmp_path / "txns.txt"
-    dump_transactions(ts, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 4
-    assert lines[0] == "weather=clear road=dry"
-    assert lines[1] == "weather=rain road=wet"
