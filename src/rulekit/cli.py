@@ -125,7 +125,7 @@ def _from_json(cls: type, raw: object, where: str, **fixed: object):
 
     The fields in ``fixed`` are not settable from ``raw``. An unknown key, or a
     missing one whose field has no default, is refused naming ``where``; ``cls``
-    checks the values.
+    checks the values. A reader's error is prefixed with ``where``.
     """
     if not isinstance(raw, Mapping):
         raise ValidationError(f"{where} must be an object")
@@ -136,7 +136,10 @@ def _from_json(cls: type, raw: object, where: str, **fixed: object):
     for f in settable:
         if f.name not in raw and f.default is MISSING:
             raise ValidationError(f"{where} is missing {f.name!r}")
-    values = {k: _READERS[k](v) if k in _READERS else v for k, v in raw.items()}
+    try:
+        values = {k: _READERS[k](v) if k in _READERS else v for k, v in raw.items()}
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
     return cls(**values, **fixed)
 
 
@@ -168,6 +171,13 @@ def _optional_names(raw: Mapping, key: str) -> tuple[str, ...] | None:
     return None if value is None else _names(value, repr(key))
 
 
+def _require_file(path: Path, what: str) -> None:
+    if not path.exists():
+        raise ValidationError(f"{what} {path} does not exist")
+    if not path.is_file():
+        raise ValidationError(f"{what} {path} is not a regular file")
+
+
 def load_config(
     path: str | Path,
     out_dir: str | Path | None = None,
@@ -175,12 +185,12 @@ def load_config(
 ) -> RunConfig:
     """Parse and validate the JSON run configuration.
 
-    Relative paths are taken against the config file's directory; referenced
-    input paths must exist. ``out_dir`` and ``seed`` are the CLI overrides.
+    Relative paths are taken against the config file's directory; the config
+    and the input paths it references must be regular files. ``out_dir`` and
+    ``seed`` are the CLI overrides.
     """
     path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"config path {path} does not exist")
+    _require_file(path, "config path")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -204,8 +214,7 @@ def load_config(
     data_path = respath("data")
     output_dir = respath("output_dir", "out")
     for p in (dictionary_path, data_path):
-        if not p.exists():
-            raise ValidationError(f"referenced path {p} does not exist")
+        _require_file(p, "referenced path")
 
     if seed is None:
         seed = raw.get("seed", ForestConfig.seed)
@@ -350,7 +359,7 @@ def _select_vars(
         else:
             features = tuple(v for v in rs.dictionary.names if v != cfg.response)
         forest = train(rs, cfg.response, features, cfg.forest)
-        report = mda_importance(forest, rs, seed=cfg.forest.seed)
+        report = mda_importance(forest)
         logger.info(
             "forest OOB accuracy %.4f over %d features",
             report.oob_accuracy,

@@ -7,20 +7,21 @@ to 12 present categories and greedy beyond that.
 
 Layout. A tree is a set of read-only parallel arrays indexed by node id, as
 in ranger (Wright & Ziegler, JSS 2017): split feature (-1 at a leaf), left
-and right child ids, majority class, per-class in-bag counts, and a routing
-table per node holding one bool per category of its split feature, True
-where that category goes left. Each integer array is built in the smallest
-integer dtype that holds its values, signed where -1 marks a leaf, and the
-bootstrap rows of growth in the smallest unsigned dtype that holds a row id.
-The same tree as TreeNode objects shares one object per distinct leaf,
-routing table and class-count tuple across the forest. Prediction lays a
-block of trees end to end and turns their routing tables into one child
-table, which holds for every node and category the id of the child that
-category goes to. It moves every query row down one tree level per step,
-each step one lookup in that table at the node's offset plus the row's code,
-read from a row-major copy of the codes. Node and row ids widen to intp as
-they are laid end to end, before any offset is taken from them: numpy keeps
-uint16 * 12 in uint16, so a narrow row id times the feature count would wrap.
+child id (-1 at a leaf; the right child's is one more), majority class,
+per-class in-bag counts, and a routing table per node holding one bool per
+category of its split feature, True where that category goes left. Each
+integer array is built in the smallest integer dtype that holds its values,
+signed where -1 marks a leaf, and the bootstrap rows of growth in the
+smallest unsigned dtype that holds a row id. The same tree as TreeNode
+objects shares one object per distinct leaf, routing table and class-count
+tuple across the forest. Prediction lays a block of trees end to end and
+turns their routing tables into one child table, which holds for every node
+and category the id of the child that category goes to. It moves every query
+row down one tree level per step, each step one lookup in that table at the
+node's offset plus the row's code, read from a row-major copy of the codes.
+Node and row ids widen to intp as they are laid end to end, before any
+offset is taken from them: numpy keeps uint16 * 12 in uint16, so a narrow
+row id times the feature count would wrap.
 
 Growth. Trees are grown a block at a time, in lockstep: each step takes the
 next depth-first node of every tree in the block that can still split,
@@ -44,20 +45,21 @@ scores come from the same float operations on the same exact integer
 counts, so ties break the same way too: the first feature, then the first
 partition wins. A forest thus does not depend on the block size.
 
-Importance is Mean Decrease Accuracy (Breiman, 2001): for every tree, the
-accuracy on its out-of-bag records is compared with the accuracy after
-permuting one feature's column within those records; the per-feature mean
-over trees is the mda, reported with its standard deviation. A feature no
-tree ever splits on scores exactly 0. A permuted row follows its unpermuted
-path down to the first node that splits on the permuted feature, so it is
-routed again only from there, and only if the permutation changed its code
-for that feature; a row whose code is unchanged reaches the same leaf.
+Importance is Mean Decrease Accuracy (Breiman, 2001), on the training codes
+the forest keeps: for every tree, the accuracy on its out-of-bag records is
+compared with the accuracy after permuting one feature's column within those
+records, tree t drawing its permutations from stream (seed, 1, t); the
+per-feature mean over trees is the mda, reported with its standard
+deviation. A feature no tree ever splits on scores exactly 0. A permuted row
+follows its unpermuted path down to the first node that splits on the
+permuted feature, so it is routed again only from there, and only if the
+permutation changed its code for that feature; a row whose code is unchanged
+reaches the same leaf.
 """
 
 from __future__ import annotations
 
 import gc
-import hashlib
 import logging
 import math
 from bisect import bisect_right
@@ -142,15 +144,16 @@ class TreeNode(NamedTuple):
 class DecisionTree:
     """One tree as read-only parallel arrays indexed by node id; the root is 0.
 
-    feature is the split feature and left/right the child ids (all -1 at a
-    leaf); class_index is the majority class (first on ties) of the
-    (node, class) in-bag counts in class_counts. Node i sends category c of
-    its feature left iff routing[route_start[i] + c]; route_start has one
-    more entry than there are nodes, and a leaf's table is empty.
+    feature is the split feature and left the left child's id (both -1 at a
+    leaf); the right child's id is always left + 1. class_index is the
+    majority class (first on ties) of the (node, class) in-bag counts in
+    class_counts. Node i sends category c of its feature left iff
+    routing[route_start[i] + c]; route_start has one more entry than there
+    are nodes, and a leaf's table is empty.
 
     Each integer array has the smallest integer dtype that holds its values:
-    feature, left and right are signed (they hold -1), sized by the feature
-    and node counts; class_index, class_counts, route_start and in_bag are
+    feature and left are signed (they hold -1), sized by the feature and
+    node counts; class_index, class_counts, route_start and in_bag are
     unsigned, sized by the class count, the largest class count at the root,
     the routing table's length and the largest multiplicity; oob_indices is
     unsigned, sized by the record count. Take any of them to intp before
@@ -160,7 +163,6 @@ class DecisionTree:
 
     feature: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     class_index: np.ndarray
     class_counts: np.ndarray
     route_start: np.ndarray
@@ -177,10 +179,9 @@ class Forest:
     features: tuple[str, ...]
     class_labels: tuple[str, ...]
     dictionary: DataDictionary
-    n_records: int
     config: ForestConfig
     mtry: int
-    fingerprint: str  # sha256 of the training codes (features, then response)
+    codes: np.ndarray  # read-only training codes, (features then response, record)
 
 
 @dataclass(frozen=True)
@@ -273,10 +274,6 @@ def _greedy_partition(
             if best_overall is None or dec > best_overall[0]:
                 best_overall = (dec, frozenset(int(c) for c in present[in_left]))
     return best_overall
-
-
-def _fingerprint(codes: np.ndarray) -> str:
-    return hashlib.sha256(codes.tobytes()).hexdigest()
 
 
 def _tree_blocks(n_records: int, n_trees: int, max_rows: int) -> list[range]:
@@ -510,7 +507,7 @@ def _forest_nodes(trees: Sequence[tuple[np.ndarray, ...]]) -> Iterator[tuple[Tre
     tables: dict[bytes, frozenset[int]] = {}
     counts: dict[tuple[int, ...], tuple[int, ...]] = {}
     leaves: dict[TreeNode, TreeNode] = {}
-    for feature, left, right, class_index, class_counts, route_start, routing, *_ in trees:
+    for feature, left, class_index, class_counts, route_start, routing, *_ in trees:
         table_bytes = routing.tobytes()
         starts = route_start.tolist()
         left_categories = [frozenset()] * len(feature)
@@ -523,7 +520,7 @@ def _forest_nodes(trees: Sequence[tuple[np.ndarray, ...]]) -> Iterator[tuple[Tre
             feature.tolist(),
             left_categories,
             left.tolist(),
-            right.tolist(),
+            np.where(left >= 0, left + 1, -1).tolist(),
             class_index.tolist(),
             (
                 counts.setdefault(c, c)
@@ -673,7 +670,6 @@ def _grow_block(
         arrays = (
             feature_j,
             left_j,
-            np.where(left_j >= 0, left_j + 1, -1),
             class_counts.argmax(axis=1).astype(_int_dtype(n_classes - 1)),
             class_counts,
             route_start,
@@ -709,6 +705,7 @@ def train(
     if len(rs) < 2:
         raise ValidationError("training needs at least 2 records")
     codes = rs.codes[[rs.dictionary.variable_index(v) for v in features + (response,)]]
+    codes.setflags(write=False)
     X, y = codes[:-1], codes[-1]
     class_labels = rs.dictionary.variable(response).categories
     if not (y != y[0]).any():
@@ -739,10 +736,9 @@ def train(
         features=features,
         class_labels=class_labels,
         dictionary=rs.dictionary,
-        n_records=n,
         config=cfg,
         mtry=mtry,
-        fingerprint=_fingerprint(codes),
+        codes=codes,
     )
 
 
@@ -816,30 +812,17 @@ def _predict(
     return out
 
 
-def _check_match(forest: Forest, rs: RecordSet) -> np.ndarray:
-    """The forest's codes of rs (features, then response); raises unless rs
-    is the record set the forest was trained on."""
-    if rs.dictionary == forest.dictionary and len(rs) == forest.n_records:
-        variables = forest.features + (forest.response_variable,)
-        codes = rs.codes[[rs.dictionary.variable_index(v) for v in variables]]
-        if _fingerprint(codes) == forest.fingerprint:
-            return codes
-    raise ValidationError(
-        "record set does not match the forest's training data "
-        "(dictionary, record count or records differ)"
-    )
-
-
-def oob_predict(forest: Forest, rs: RecordSet) -> OobPrediction:
-    """Majority vote per record over the trees where it was out-of-bag.
+def oob_predict(forest: Forest) -> OobPrediction:
+    """Majority vote per training record over the trees where it was
+    out-of-bag.
 
     Records in-bag for every tree get prediction None and are left out of
     the accuracy denominator. Vote ties break toward the class listed first
     in the dictionary.
     """
-    codes = _check_match(forest, rs)
+    codes = forest.codes
     by_record, y = np.ascontiguousarray(codes[:-1].T), codes[-1]
-    n = forest.n_records
+    n = codes.shape[1]
     n_classes = len(forest.class_labels)
     votes = np.zeros(n * n_classes, dtype=np.int64)
     for block in _tree_blocks(n, len(forest.trees), _CHUNK_ROWS):
@@ -862,19 +845,16 @@ def oob_predict(forest: Forest, rs: RecordSet) -> OobPrediction:
     return OobPrediction(predictions=predictions, accuracy=accuracy)
 
 
-def mda_importance(forest: Forest, rs: RecordSet, seed: int) -> ImportanceReport:
+def mda_importance(forest: Forest) -> ImportanceReport:
     """Mean Decrease Accuracy per feature, averaged over trees.
 
     For each tree, each feature's column is permuted within the tree's
-    out-of-bag rows (one fresh permutation per tree and feature) and the
-    accuracy drop recorded; trees with no out-of-bag rows are skipped. The
-    report is sorted by descending mda, ties by dictionary variable order.
-    seed must be in [0, 2**64).
+    out-of-bag rows (one fresh permutation per tree and feature, tree t
+    drawing from stream (forest seed, 1, t)) and the accuracy drop recorded;
+    trees with no out-of-bag rows are skipped. The report is sorted by
+    descending mda, ties by dictionary variable order.
     """
-    if not 0 <= seed < 2**64:  # the RNG reads it as a uint64
-        raise ValidationError(f"seed {seed} must be in [0, 2**64)")
-    codes = _check_match(forest, rs)
-    X, y = codes[:-1], codes[-1]
+    X, y = forest.codes[:-1], forest.codes[-1]
     by_record = np.ascontiguousarray(X.T)
     n_features = len(forest.features)
 
@@ -894,7 +874,7 @@ def mda_importance(forest: Forest, rs: RecordSet, seed: int) -> ImportanceReport
         ]
         if not kept:
             return []
-        rngs = [np.random.default_rng([seed, 1, t]) for t, _, _ in kept]
+        rngs = [np.random.default_rng([forest.config.seed, 1, t]) for t, _, _ in kept]
         sizes = np.array([len(oob) for _, oob, _ in kept])
         oob = np.concatenate([oob for _, oob, _ in kept], dtype=np.intp)
         oobs = np.split(oob, np.cumsum(sizes)[:-1])  # each tree's, as views
@@ -919,7 +899,7 @@ def mda_importance(forest: Forest, rs: RecordSet, seed: int) -> ImportanceReport
         accuracy = hits / sizes[:, None]
         return list(accuracy[:, :1] - accuracy[:, 1:])
 
-    blocks = _tree_blocks(forest.n_records, len(forest.trees), _CHUNK_ROWS)
+    blocks = _tree_blocks(len(y), len(forest.trees), _CHUNK_ROWS)
     per_block = run_ordered(block_drops, blocks)
     included = [drops for block in per_block for drops in block]
     if not included:
@@ -937,7 +917,7 @@ def mda_importance(forest: Forest, rs: RecordSet, seed: int) -> ImportanceReport
         ImportanceEntry(variable=forest.features[f], mda=float(mda[f]), sd=float(sd[f]))
         for f in order
     )
-    accuracy = oob_predict(forest, rs).accuracy
+    accuracy = oob_predict(forest).accuracy
     return ImportanceReport(entries=entries, oob_accuracy=accuracy)
 
 

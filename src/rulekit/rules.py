@@ -329,6 +329,8 @@ class CaseResult:
 def _no_rules_cause(ts: TransactionSet, freq: FrequentItemsets, case: MiningCase) -> str:
     """Why a case kept no rule, when one threshold alone explains it, else ''."""
     n, threshold, y = ts.n_transactions, freq.min_support_count, case.consequent
+    if case.top_k == 0:
+        return ": top_k is 0"
     if threshold > n:
         return f": resolved support count {threshold} exceeds the {n} transactions"
     if y is not None and (

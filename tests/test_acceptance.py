@@ -185,7 +185,7 @@ def test_mda_ranks_planted_predictor_first():
     forest = train(
         rs, "resp", [predictor] + noise, ForestConfig(n_trees=300, seed=20260815)
     )
-    report = mda_importance(forest, rs, seed=20260815)
+    report = mda_importance(forest)
     assert report.entries[0].variable == predictor
     assert report.entries[0].mda >= 0.3
     for entry in report.entries[1:]:
@@ -196,7 +196,7 @@ def test_mda_ranks_planted_predictor_first():
         rs, "resp", [predictor] + noise,
         ForestConfig(n_trees=1, max_depth=1, mtry=6, seed=1),
     )
-    stump_report = mda_importance(stump, rs, seed=1)
+    stump_report = mda_importance(stump)
     by_var = {e.variable: e for e in stump_report.entries}
     assert stump.trees[0].nodes[0].feature == 0
     for name in noise:

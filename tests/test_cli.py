@@ -202,6 +202,20 @@ class TestConfigErrors:
         assert main(["describe", "--config", str(cfg)]) == 2
         assert "does not exist" in capsys.readouterr().err
 
+    def test_config_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        assert main(["describe", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "failed in stage 'config'" in err
+        assert f"config path {tmp_path} is not a regular file" in err
+
+    @pytest.mark.parametrize("key", ["dictionary", "data"])
+    def test_referenced_path_that_is_a_directory_exits_2(self, tmp_path, capsys, key):
+        cfg = write_workspace(tmp_path, {**BASE_CONFIG, key: "."})
+        assert main(["describe", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "failed in stage 'config'" in err
+        assert f"referenced path {tmp_path.resolve()} is not a regular file" in err
+
     @pytest.mark.parametrize(
         "mutate,needle",
         [
@@ -279,6 +293,11 @@ class TestConfigErrors:
             (lambda c: c["cases"][0].pop("min_confidence"), "cases[0] is missing 'min_confidence'"),
             (lambda c: c["cases"][0].update({"minlift": 1}), "cases[0] has unknown key(s): minlift"),
             (lambda c: c.update({"cases": [c["cases"][0], 7]}), "cases[1] must be an object"),
+            # a reader's error names its case too
+            (lambda c: c["cases"].append({**c["cases"][0], "name": "b", "min_support": 0}),
+             "cases[1]: support count 0 must be >= 1"),
+            (lambda c: c["cases"].append({**c["cases"][0], "name": "b", "consequent": "fatal"}),
+             "cases[1]: malformed item token 'fatal'"),
             # string values are taken as they are, never converted with str()
             (lambda c: c.update({"response": 5}),
              "stage 'config': 'response' must be a string, got 5"),
@@ -529,15 +548,18 @@ class TestMine:
                       filter_steps=[{"variable": "severity", "keep": ["other"]}])
         wet = config["cases"][0]
         config["cases"] = [dict(wet, name="fatal", consequent="severity=fatal"),
-                           dict(wet, name="strict", min_lift=50.0), wet]
+                           dict(wet, name="strict", min_lift=50.0), wet,
+                           dict(wet, name="none", top_k=0)]
         cfg = write_workspace(tmp_path, config)
         with caplog.at_level("INFO", logger="rulekit"):
             assert main(["mine", "--config", str(cfg)]) == 0
         warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
-        assert len(warnings) == 2
+        assert len(warnings) == 3
         assert warnings[0].startswith("case 'fatal' produced no rules")
         assert "severity=fatal is not frequent" in warnings[0]
         assert warnings[1] == "case 'strict' produced no rules"
+        # 'none' keeps the rules 'wet roads' keeps, but ranks none of them
+        assert warnings[2] == "case 'none' produced no rules: top_k is 0"
         infos = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
         assert len([m for m in infos if "resolved" in m]) == len(config["cases"])
 

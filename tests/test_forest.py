@@ -179,7 +179,7 @@ class TestTrain:
         root = f.trees[0].nodes[0]
         assert root.feature == 0
         assert len(f.trees[0].oob_indices) > 0
-        assert oob_predict(f, separable_rs).accuracy == 1.0
+        assert oob_predict(f).accuracy == 1.0
 
     def test_response_cannot_be_feature(self, separable_rs):
         with pytest.raises(ValidationError):
@@ -213,7 +213,7 @@ class TestTrain:
         features = [f"f{i:02d}" for i in range(18)]
         f = train(rs, "light", features, ForestConfig(n_trees=30, seed=2))
         assert f.mtry == 4  # floor(sqrt(18))
-        report = mda_importance(f, rs, seed=2)
+        report = mda_importance(f)
         assert sorted(e.variable for e in report.entries) == features
 
     def test_node_children_respect_min_node_size(self, separable_rs):
@@ -234,8 +234,8 @@ class TestTrain:
         for ta, tb in zip(a.trees, b.trees):
             assert ta.nodes == tb.nodes
             assert np.array_equal(ta.oob_indices, tb.oob_indices)
-        ra = mda_importance(a, separable_rs, seed=9)
-        rb = mda_importance(b, separable_rs, seed=9)
+        ra = mda_importance(a)
+        rb = mda_importance(b)
         assert ra == rb
 
     def test_different_seeds_differ(self, separable_rs):
@@ -250,30 +250,10 @@ class TestTrain:
 class TestOobPredict:
     def test_single_tree_covers_exactly_the_oob_records(self, separable_rs):
         f = train(separable_rs, "label", ["flag"], ForestConfig(n_trees=1, seed=0))
-        prediction = oob_predict(f, separable_rs)
+        prediction = oob_predict(f)
         oob = set(f.trees[0].oob_indices.tolist())
         for i, label in enumerate(prediction.predictions):
             assert (label is not None) == (i in oob)
-
-    def test_record_set_mismatch(self, separable_rs):
-        f = train(separable_rs, "label", ["flag"], ForestConfig(n_trees=1, seed=0))
-        shorter = make_records(
-            separable_rs.dictionary,
-            [{"flag": "on", "label": "yes"}, {"flag": "off", "label": "no"}],
-        )
-        with pytest.raises(ValidationError, match="does not match"):
-            oob_predict(f, shorter)
-
-    def test_same_size_record_set_with_one_changed_value(self, separable_rs):
-        f = train(separable_rs, "label", ["flag"], ForestConfig(n_trees=4, seed=0))
-        rows = [values for _, values in rows_of(separable_rs)]
-        rows[3]["label"] = "no" if rows[3]["label"] == "yes" else "yes"
-        changed = make_records(separable_rs.dictionary, rows)
-        assert len(changed) == len(separable_rs)
-        with pytest.raises(ValidationError, match="does not match"):
-            oob_predict(f, changed)
-        with pytest.raises(ValidationError, match="does not match"):
-            mda_importance(f, changed, seed=0)
 
     def test_high_coverage_with_many_trees(self):
         rng = random.Random(41)
@@ -290,7 +270,7 @@ class TestOobPredict:
             })
         rs = make_records(d, rows)
         f = train(rs, "outcome", ["signal", "noise"], ForestConfig(n_trees=100, seed=5))
-        prediction = oob_predict(f, rs)
+        prediction = oob_predict(f)
         # P(a record is in-bag for all 100 trees) = (1 - (1-1/n)^n)^100, tiny
         assert prediction.coverage >= 0.99
 
@@ -317,7 +297,7 @@ class TestOobPredict:
             by_signal.setdefault(row["signal"], Counter())[row["outcome"]] += 1
         optimum = sum(c.most_common(1)[0][1] for c in by_signal.values()) / len(rows)
         f = train(rs, "outcome", ["signal", "n1", "n2"], ForestConfig(n_trees=100, seed=5))
-        accuracy = oob_predict(f, rs).accuracy
+        accuracy = oob_predict(f).accuracy
         assert abs(accuracy - optimum) <= 0.05
 
 
@@ -327,7 +307,7 @@ class TestMdaImportance:
         f = train(rs, "resp", [predictor] + noise,
                   ForestConfig(n_trees=1, max_depth=1, mtry=6, seed=1))
         assert f.trees[0].nodes[0].feature == 0  # stump splits on the predictor
-        report = mda_importance(f, rs, seed=1)
+        report = mda_importance(f)
         by_var = {e.variable: e for e in report.entries}
         assert by_var[predictor].mda > 0.0
         for name in noise:
@@ -342,7 +322,7 @@ class TestMdaImportance:
         d = make_dictionary({"const": ("k", "other"), **spec})
         rs = make_records(d, [{**values, "const": "k"} for _, values in rows_of(rs)])
         f = train(rs, "resp", [predictor, "const", *noise], ForestConfig(n_trees=20, seed=3))
-        report = mda_importance(f, rs, seed=3)
+        report = mda_importance(f)
         (const,) = [e for e in report.entries if e.variable == "const"]
         assert (const.mda, const.sd) == (0.0, 0.0)
         assert _report_bits(report) == _report_bits(reference_mda(f, rs, 3))
@@ -350,25 +330,16 @@ class TestMdaImportance:
     def test_planted_predictor_ranks_first(self):
         rs, predictor, noise = planted_mda_records(n=300)
         f = train(rs, "resp", [predictor] + noise, ForestConfig(n_trees=80, seed=6))
-        report = mda_importance(f, rs, seed=6)
+        report = mda_importance(f)
         assert report.entries[0].variable == predictor
         assert report.entries[0].mda > 0.2
         assert report.oob_accuracy > 0.95
-
-    @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_seed_must_fit_in_64_bits(self, seed):
-        # the RNG reads the seed as a uint64: -1 and 2**64 - 1 would permute alike
-        rs, predictor, noise = planted_mda_records(n=60)
-        f = train(rs, "resp", [predictor] + noise, ForestConfig(n_trees=2, seed=1))
-        mda_importance(f, rs, seed=2**64 - 1)
-        with pytest.raises(ValidationError, match=r"seed .* must be in \[0, 2\*\*64\)"):
-            mda_importance(f, rs, seed=seed)
 
     def test_ties_order_by_dictionary_position(self):
         rs, predictor, noise = planted_mda_records(n=200)
         f = train(rs, "resp", [predictor] + noise,
                   ForestConfig(n_trees=1, max_depth=1, mtry=6, seed=1))
-        report = mda_importance(f, rs, seed=1)
+        report = mda_importance(f)
         zero_vars = [e.variable for e in report.entries if e.mda == 0.0]
         positions = [f.dictionary.variable_index(v) for v in zero_vars]
         assert positions == sorted(positions)
@@ -377,7 +348,7 @@ class TestMdaImportance:
 def test_select_top_k_bounds():
     rs, predictor, noise = planted_mda_records(n=200)
     f = train(rs, "resp", [predictor] + noise, ForestConfig(n_trees=10, seed=0))
-    report = mda_importance(f, rs, seed=0)
+    report = mda_importance(f)
     assert select_top_k(report, 1) == (predictor,)
     assert len(select_top_k(report, 6)) == 6
     with pytest.raises(ValidationError):
@@ -389,7 +360,7 @@ def test_select_top_k_bounds():
 def test_importance_exports(tmp_path):
     rs, predictor, noise = planted_mda_records(n=200)
     f = train(rs, "resp", [predictor] + noise, ForestConfig(n_trees=10, seed=0))
-    report = mda_importance(f, rs, seed=0)
+    report = mda_importance(f)
     csv_path = export_importance_csv(report, tmp_path / "imp.csv")
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "variable,mda,sd,rank"
@@ -421,15 +392,14 @@ def _assert_matches_reference(rs, response, features, cfg, forest):
         assert tree.nodes == nodes
         assert np.array_equal(tree.in_bag, in_bag)
         assert np.array_equal(tree.oob_indices, np.flatnonzero(in_bag == 0))
-    got, want = oob_predict(forest, rs), reference_oob_predict(forest, rs)
+    got, want = oob_predict(forest), reference_oob_predict(forest, rs)
     assert got.predictions == want.predictions
     assert got.accuracy == want.accuracy or (
         math.isnan(got.accuracy) and math.isnan(want.accuracy)
     )
     if any(len(tree.oob_indices) for tree in forest.trees):
-        seed = cfg.seed + 1
-        assert _report_bits(mda_importance(forest, rs, seed)) == _report_bits(
-            reference_mda(forest, rs, seed)
+        assert _report_bits(mda_importance(forest)) == _report_bits(
+            reference_mda(forest, rs, cfg.seed)
         )
 
 
@@ -489,7 +459,7 @@ class TestFlatForestMatchesReference:
         features = [predictor] + noise
         cfg = ForestConfig(n_trees=6, min_node_size=2, seed=3)
         one_block = train(rs, "resp", features, cfg)
-        report = mda_importance(one_block, rs, seed=4)
+        report = mda_importance(one_block)
         assert len(forest_module._tree_blocks(len(rs), 6, forest_module._BLOCK_ROWS)) == 1
         # one tree per block, a few nodes per gather and 7 queries per pass
         monkeypatch.setattr(forest_module, "_BLOCK_ROWS", len(rs))
@@ -499,8 +469,8 @@ class TestFlatForestMatchesReference:
         for a, b in zip(one_block.trees, per_tree.trees):
             assert a.nodes == b.nodes
             assert np.array_equal(a.in_bag, b.in_bag)
-        assert _report_bits(mda_importance(per_tree, rs, seed=4)) == _report_bits(report)
-        assert oob_predict(per_tree, rs) == oob_predict(one_block, rs)
+        assert _report_bits(mda_importance(per_tree)) == _report_bits(report)
+        assert oob_predict(per_tree) == oob_predict(one_block)
 
     @pytest.mark.parametrize("words", [1, 4, 7])
     def test_word_buffer_size_does_not_change_results(self, monkeypatch, words):
@@ -510,14 +480,14 @@ class TestFlatForestMatchesReference:
         features = [predictor] + noise
         cfg = ForestConfig(n_trees=6, min_node_size=2, seed=3)
         full = train(rs, "resp", features, cfg)
-        report = mda_importance(full, rs, seed=4)
+        report = mda_importance(full)
         monkeypatch.setattr(forest_module, "_WORD_BUFFER", words)
         small = train(rs, "resp", features, cfg)
         for a, b in zip(full.trees, small.trees):
             assert a.nodes == b.nodes
             assert np.array_equal(a.in_bag, b.in_bag)
-        assert _report_bits(mda_importance(small, rs, seed=4)) == _report_bits(report)
-        assert oob_predict(small, rs) == oob_predict(full, rs)
+        assert _report_bits(mda_importance(small)) == _report_bits(report)
+        assert oob_predict(small) == oob_predict(full)
 
 
 def _noisy_records(n: int, n_features: int, seed: int):
@@ -572,7 +542,7 @@ class TestCompactForest:
         rs, features = _noisy_records(n, 3, seed=n)
         forest = train(rs, "resp", features, ForestConfig(n_trees=2, min_node_size=1, seed=1))
         for tree in forest.trees:
-            for name in ("feature", "left", "right", "class_index", "class_counts",
+            for name in ("feature", "left", "class_index", "class_counts",
                          "route_start", "in_bag", "oob_indices"):
                 array = getattr(tree, name)
                 assert array.dtype.kind in "iu", name
@@ -707,9 +677,15 @@ class TestFeatureDraws:
 
 
 def test_tree_arrays_are_read_only(separable_rs):
-    tree = train(separable_rs, "label", ["flag"], ForestConfig(n_trees=1, seed=0)).trees[0]
-    for name in ("feature", "left", "right", "class_index", "class_counts",
+    forest = train(separable_rs, "label", ["flag"], ForestConfig(n_trees=1, seed=0))
+    tree = forest.trees[0]
+    for name in ("feature", "left", "class_index", "class_counts",
                  "route_start", "routing", "in_bag", "oob_indices"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(tree, name)[...] = 0
     assert isinstance(tree.nodes, tuple)
+    # the training codes: features, then response
+    index = separable_rs.dictionary.variable_index
+    assert np.array_equal(forest.codes, separable_rs.codes[[index("flag"), index("label")]])
+    with pytest.raises(ValueError, match="read-only"):
+        forest.codes[...] = 0
