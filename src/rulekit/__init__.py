@@ -29,7 +29,7 @@ from .forest import (
     select_top_k,
     train,
 )
-from .report import Artifact, ReportBundle
+from .report import ReportBundle
 from .rules import CaseResult, MiningCase, Rule, RuleTable, generate_rules, \
     prune_redundant, rank_rules, run_case, score
 from .schema import (
@@ -49,7 +49,6 @@ from .transactions import ItemUniverse, TransactionSet, encode, item_frequencies
 __version__ = "0.1.0"
 
 __all__ = [
-    "Artifact",
     "CaseResult",
     "DataDictionary",
     "DictionaryError",

@@ -8,6 +8,11 @@ their defaults and checks. Exit codes: 0 on success, 2 for configuration or
 validation problems, 1 for runtime and I/O failures. Error messages on
 stderr name the failing stage.
 
+Every file a command writes is added to one ``ReportBundle``, whose
+``manifest.json`` lists each with its sha256. A ``mine`` without
+``features`` reads ``selected_variables.json`` from the output directory
+and refuses one that ranks variables for another response.
+
 ``--threads`` is still parsed and checked, a value below 1 exiting 2, but
 nothing reads it: every stage runs on one OS thread. Importing the package
 sets ``OPENBLAS_NUM_THREADS=1`` unless ``OPENBLAS_NUM_THREADS`` or
@@ -331,21 +336,19 @@ def _describe(cfg: RunConfig, rs: RecordSet, bundle: ReportBundle, out: Path) ->
             )
             for var, codes in zip(rs.dictionary.variables, rs.codes)
         }
-        write_json(
-            out / "summary.json",
-            {
-                "record_count": len(rs),
-                "filter_log": [
-                    {
-                        "description": e.description,
-                        "records_before": e.records_before,
-                        "records_after": e.records_after,
-                    }
-                    for e in rs.filter_log
-                ],
-                "value_counts": value_counts,
-            },
-        )
+        summary = {
+            "record_count": len(rs),
+            "filter_log": [
+                {
+                    "description": e.description,
+                    "records_before": e.records_before,
+                    "records_after": e.records_after,
+                }
+                for e in rs.filter_log
+            ],
+            "value_counts": value_counts,
+        }
+        bundle.add(write_json(out / "summary.json", summary))
         for stem, table in tables.items():
             bundle.add(*emit_crosstab(table, out / f"crosstab_{stem}.csv"))
 
@@ -374,11 +377,13 @@ def _select_vars(
                 k,
             )
         selected = select_top_k(report, k)
-        export_importance_json(report, out / "importance.json")
-        bundle.add(*emit_importance_chart(report, out / "importance.svg"))
-        write_json(
-            out / "selected_variables.json",
-            {"response": cfg.response, "selected": list(selected)},
+        bundle.add(
+            export_importance_json(report, out / "importance.json"),
+            *emit_importance_chart(report, out / "importance.svg"),
+            write_json(
+                out / "selected_variables.json",
+                {"response": cfg.response, "selected": list(selected)},
+            ),
         )
         return selected
 
@@ -398,7 +403,7 @@ def _mine(
             if cfg.features is not None:
                 features = cfg.features
             elif selected_file.exists():
-                features = _read_selection(selected_file)
+                features = _read_selection(selected_file, cfg.response)
                 logger.info("mining variables taken from %s", selected_file)
             else:
                 raise ValidationError(
@@ -429,23 +434,30 @@ def _mine(
         for case in cfg.cases:
             result = run_case(ts, case)
             stem = _safe_name(case.name)
-            bundle.add(*emit_rule_table(result, out / f"case_{stem}_rules.csv"))
-            export_case_csv(result, out / f"case_{stem}_rules_full.csv")
-            export_case_metadata(result, out / f"case_{stem}_meta.json")
+            bundle.add(
+                *emit_rule_table(result, out / f"case_{stem}_rules.csv"),
+                export_case_csv(result, out / f"case_{stem}_rules_full.csv"),
+                export_case_metadata(result, out / f"case_{stem}_meta.json"),
+            )
             if result.rules:  # run_case has warned of an empty case
                 bundle.add(
                     *emit_rule_scatter(result.rules, out / f"case_{stem}_scatter.svg")
                 )
 
 
-def _read_selection(path: Path) -> tuple[str, ...]:
-    """The ``selected`` names of a select-vars output file."""
+def _read_selection(path: Path, response: str) -> tuple[str, ...]:
+    """The ``selected`` names of a select-vars output file made for ``response``."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{path} must hold a JSON object")
+    if doc.get("response") != response:
+        raise ValidationError(
+            f"{path} ranks variables for response {doc.get('response')!r}, "
+            f"not the config's response {response!r}"
+        )
     return _names(doc.get("selected"), f"'selected' in {path}")
 
 

@@ -4,13 +4,16 @@ Charts are written as self-contained SVG 1.1 documents assembled by hand so
 the output is dependency-free and diffable; every SVG gets a companion CSV
 carrying the plotted values at full precision (the SVG labels round for
 display, the CSV does not). Rule tables are CSV plus an aligned plain-text
-rendering. All writes are atomic, and emitting the same inputs twice
-produces byte-identical files; timestamps live only in the bundle manifest.
+rendering. Every emitter returns the paths it wrote. All writes are atomic,
+and emitting the same inputs twice produces byte-identical files; timestamps
+live only in the bundle manifest, which lists each file a run wrote with its
+sha256.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -22,43 +25,31 @@ from .rules import CaseResult, Rule
 from .schema import CrossTab
 from .transactions import ItemFrequency
 
-ARTIFACT_KINDS = ("rule_table", "item_freq", "importance", "rule_scatter", "crosstab")
-
-
-@dataclass(frozen=True)
-class Artifact:
-    kind: str
-    path: Path
-
-    def __post_init__(self) -> None:
-        if self.kind not in ARTIFACT_KINDS:
-            raise ValidationError(
-                f"artifact kind {self.kind!r} not one of {ARTIFACT_KINDS}"
-            )
-
 
 @dataclass
 class ReportBundle:
-    """Collects artifacts from a run and writes the manifest JSON."""
+    """Collects the paths a run writes, in order, and writes the manifest JSON."""
 
     config_hash: str
     dataset_hash: str
-    artifacts: list[Artifact] = field(default_factory=list)
+    paths: list[Path] = field(default_factory=list)
 
-    def add(self, *artifacts: Artifact) -> None:
-        self.artifacts.extend(artifacts)
+    def add(self, *paths: Path) -> None:
+        self.paths.extend(paths)
 
     def write_manifest(self, sink: str | Path) -> Path:
+        """Each added path once, relative to the manifest's directory when it
+        lies inside it, with the sha256 of the file as it is now."""
         sink = Path(sink)
         base = sink.resolve().parent
         listed = []
-        for art in self.artifacts:
-            path = art.path.resolve()
+        for path in dict.fromkeys(p.resolve() for p in self.paths):
             try:
                 shown = str(path.relative_to(base))
             except ValueError:
                 shown = str(path)
-            listed.append({"kind": art.kind, "path": shown})
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            listed.append({"path": shown, "sha256": digest})
         payload = {
             "created_at": _dt.datetime.now(_dt.timezone.utc).isoformat(
                 timespec="seconds"
@@ -157,7 +148,7 @@ def _hbar_chart(
 # Emitters
 
 
-def emit_rule_table(result: CaseResult, sink: str | Path) -> tuple[Artifact, ...]:
+def emit_rule_table(result: CaseResult, sink: str | Path) -> tuple[Path, ...]:
     """Ranked rules as CSV plus an aligned text table (same basename, .txt).
 
     Columns are ID, antecedents, S (%), C (%), L with support at three
@@ -194,12 +185,10 @@ def emit_rule_table(result: CaseResult, sink: str | Path) -> tuple[Artifact, ...
     for row in str_rows:
         lines.append("  ".join(f"{c:{a}{w}}" for c, a, w in zip(row, aligns, widths)))
     txt_path = atomic_write_text(sink.with_suffix(".txt"), "\n".join(lines) + "\n")
-    return (Artifact("rule_table", csv_path), Artifact("rule_table", txt_path))
+    return (csv_path, txt_path)
 
 
-def emit_item_freq_chart(
-    freqs: Sequence[ItemFrequency], sink: str | Path
-) -> tuple[Artifact, ...]:
+def emit_item_freq_chart(freqs: Sequence[ItemFrequency], sink: str | Path) -> tuple[Path, ...]:
     """Horizontal relative-frequency bars, descending, axis fixed to 0..1."""
     if not freqs:
         raise ValidationError("item frequency chart needs at least one item")
@@ -223,10 +212,10 @@ def emit_item_freq_chart(
         ["item", "count", "relative_frequency"],
         [[lab, e.count, repr(e.relative_frequency)] for lab, e in zip(labels, ordered)],
     )
-    return (Artifact("item_freq", svg_path), Artifact("item_freq", csv_path))
+    return (svg_path, csv_path)
 
 
-def emit_rule_scatter(rules: Sequence[Rule], sink: str | Path) -> tuple[Artifact, ...]:
+def emit_rule_scatter(rules: Sequence[Rule], sink: str | Path) -> tuple[Path, ...]:
     """Support/confidence scatter with point shade darkening as lift grows."""
     if not rules:
         raise ValidationError("rule scatter needs at least one rule")
@@ -275,12 +264,10 @@ def emit_rule_scatter(rules: Sequence[Rule], sink: str | Path) -> tuple[Artifact
         ["support", "confidence", "lift"],
         [[repr(r.support), repr(r.confidence), repr(r.lift)] for r in rules],
     )
-    return (Artifact("rule_scatter", svg_path), Artifact("rule_scatter", csv_path))
+    return (svg_path, csv_path)
 
 
-def emit_importance_chart(
-    report: ImportanceReport, sink: str | Path
-) -> tuple[Artifact, ...]:
+def emit_importance_chart(report: ImportanceReport, sink: str | Path) -> tuple[Path, ...]:
     """Horizontal mda bars, most important at the top; companion CSV."""
     if not report.entries:
         raise ValidationError("importance chart needs at least one variable")
@@ -303,10 +290,10 @@ def emit_importance_chart(
     sink = Path(sink)
     svg_path = atomic_write_text(sink, svg)
     csv_path = export_importance_csv(report, sink.with_suffix(".csv"))
-    return (Artifact("importance", svg_path), Artifact("importance", csv_path))
+    return (svg_path, csv_path)
 
 
-def emit_crosstab(ct: CrossTab, sink: str | Path) -> tuple[Artifact, ...]:
+def emit_crosstab(ct: CrossTab, sink: str | Path) -> tuple[Path, ...]:
     """Counts and column percentages per cell, plus a column-total row."""
     header = [ct.row_variable]
     for col in ct.col_categories:
@@ -326,4 +313,4 @@ def emit_crosstab(ct: CrossTab, sink: str | Path) -> tuple[Artifact, ...]:
         total_row.extend([total, "100.00" if total else "0.00"])
     total_row.append(sum(ct.column_totals))
     rows.append(total_row)
-    return (Artifact("crosstab", write_csv(sink, header, rows)),)
+    return (write_csv(sink, header, rows),)

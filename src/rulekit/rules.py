@@ -253,14 +253,14 @@ def generate_rules(freq: FrequentItemsets, ts: TransactionSet, case: MiningCase)
     return table.take(index)
 
 
-def prune_redundant(rules: Sequence[Rule]) -> Sequence[Rule]:
+def prune_redundant(rules: Sequence[Rule]) -> RuleTable:
     """Drop rules dominated by a simpler rule with the same consequent.
 
     X -> Y is removed iff some X' -> Y in the input has X' a strict subset
     of X and confidence at least as high. Each rule looks up the best
     confidence of its proper-subset (consequent, antecedent) keys, one
-    search per antecedent length and subset pattern. A table comes back as
-    a table, a sequence as a list of its kept rules, in input order.
+    search per antecedent length and subset pattern. The kept rules come
+    back as a table, in input order.
     """
     table = RuleTable.from_rules(rules)
     # key: consequent, then the antecedent ids + 1 in descending order, 0-padded
@@ -286,7 +286,7 @@ def prune_redundant(rules: Sequence[Rule]) -> Sequence[Rule]:
                 hit |= found & (best[at] >= confidence)
         dominated[rows] = hit
     kept = np.flatnonzero(~dominated)
-    return table.take(kept) if table is rules else [rules[i] for i in kept]
+    return table.take(kept)
 
 
 def rank_rules(rules: Sequence[Rule], top_k: int) -> list[Rule]:

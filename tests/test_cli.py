@@ -1,6 +1,7 @@
 """End-to-end command line runs against small generated datasets."""
 
 import csv
+import hashlib
 import json
 import logging
 import os
@@ -87,7 +88,9 @@ class TestDescribe:
             assert (out / f"crosstab_{var}.csv").exists()
         assert not (out / "crosstab_lighting.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
-        assert {a["kind"] for a in manifest["artifacts"]} == {"crosstab"}
+        assert [a["path"] for a in manifest["artifacts"]] == [
+            "summary.json", "crosstab_severity.csv", "crosstab_weather.csv", "crosstab_road.csv"
+        ]
         assert len(manifest["config_hash"]) == 64
 
     def test_filter_steps_and_crosstab_rows(self, tmp_path):
@@ -478,9 +481,12 @@ class TestMine:
 
     @pytest.mark.parametrize(
         "content",
-        [b"[1, 2]", b"{not json", b'{"selected": "weather"}', b'{"selected": ["weather", 3]}',
-         b'{"selected": ["weather\xff"]}'],
-        ids=["array", "invalid-json", "string-selection", "non-string-name", "invalid-utf8"],
+        [b"[1, 2]", b"{not json", b'{"response": "lighting", "selected": "weather"}',
+         b'{"response": "lighting", "selected": ["weather", 3]}',
+         b'{"response": "lighting", "selected": ["weather\xff"]}',
+         b'{"selected": ["weather"]}', b'{"response": "weather", "selected": ["road"]}'],
+        ids=["array", "invalid-json", "string-selection", "non-string-name", "invalid-utf8",
+             "no-response", "another-response"],
     )
     def test_malformed_selection_file_exits_2(self, tmp_path, capsys, content):
         cfg = write_workspace(tmp_path)
@@ -490,6 +496,17 @@ class TestMine:
         err = capsys.readouterr().err
         assert "failed in stage 'mine'" in err
         assert "selected_variables.json" in err
+
+    def test_select_vars_then_mine_for_another_response_exits_2(self, tmp_path, capsys):
+        cfg = write_workspace(tmp_path)
+        assert main(["select-vars", "--config", str(cfg)]) == 0
+        cfg.write_text(json.dumps({**BASE_CONFIG, "response": "weather"}))
+        assert main(["mine", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "failed in stage 'mine'" in err
+        assert "selected_variables.json" in err
+        assert "'lighting'" in err and "'weather'" in err
+        assert not (tmp_path / "out" / "case_wet_roads_rules.csv").exists()
 
     def test_explicit_features_skip_selection(self, tmp_path):
         config = dict(BASE_CONFIG)
@@ -686,6 +703,7 @@ class TestPipeline:
             "case_wet_roads_rules_full.csv",
             "case_wet_roads_meta.json",
             "case_wet_roads_scatter.svg",
+            "case_wet_roads_scatter.csv",
             "manifest.json",
         ]
         for name in expected:
@@ -694,8 +712,7 @@ class TestPipeline:
         for art in manifest["artifacts"]:
             assert not art["path"].startswith("/")
             assert (out / art["path"]).exists()
-        kinds = {a["kind"] for a in manifest["artifacts"]}
-        assert kinds == {"crosstab", "importance", "item_freq", "rule_table", "rule_scatter"}
+        assert [a["path"] for a in manifest["artifacts"]] == expected[:-1]
 
     def test_mining_features_include_case_consequent_variable(self, tmp_path):
         # top 2 forest features cannot include "road"; the consequent
@@ -704,6 +721,41 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(cfg)]) == 0
         items = (tmp_path / "out" / "item_frequency.csv").read_text()
         assert "road=wet" in items
+
+
+def _manifest_paths(out: Path) -> list[str]:
+    """The paths out/manifest.json lists, once each, after checking each
+    entry's sha256 against its file."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    paths = [entry["path"] for entry in manifest["artifacts"]]
+    assert len(paths) == len(set(paths))
+    for entry in manifest["artifacts"]:
+        assert set(entry) == {"path", "sha256"}
+        data = (out / entry["path"]).read_bytes()
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest(), entry["path"]
+    return paths
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command", ["describe", "select-vars", "mine", "pipeline"])
+    def test_lists_every_file_the_command_wrote(self, tmp_path, command):
+        config = {**BASE_CONFIG, "features": ["weather", "severity"]} if command == "mine" \
+            else BASE_CONFIG
+        cfg = write_workspace(tmp_path, config)
+        assert main([command, "--config", str(cfg)]) == 0
+        out = tmp_path / "out"
+        written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert sorted(_manifest_paths(out)) == written
+
+    def test_mine_after_select_vars_lists_only_what_mine_wrote(self, tmp_path):
+        cfg = write_workspace(tmp_path)
+        out = tmp_path / "out"
+        assert main(["select-vars", "--config", str(cfg)]) == 0
+        earlier = {p.name for p in out.iterdir()}
+        assert main(["mine", "--config", str(cfg)]) == 0
+        paths = _manifest_paths(out)
+        assert "selected_variables.json" not in paths
+        assert sorted(paths) == sorted(p.name for p in out.iterdir() if p.name not in earlier)
 
 
 # The variables OpenBLAS reads its thread count from, the first one first.

@@ -41,7 +41,7 @@ GOLDEN_SHA256 = {
     "importance.svg": "ef4f6fd8972bdcc203295b658f0d6162cea26a8c3514bb207b5fe0ab3af25c9e",
     "item_frequency.csv": "45c9fa461df253c2de982f719053d7cae6ad235dba91ad4bd583268111c5ee5d",
     "item_frequency.svg": "72c0280bb4692693e6364d24c64412a9cd8065bffdf6e0f6f2dcdc1a8ff91110",
-    "manifest.json": "07615c6552184a6f0b31686b29cf33e850bb3c644499468e3c6f63be7d712803",
+    "manifest.json": "9cba988fb2a58489827ef2e69b91b9be0c0c71a179301f79a98e375c673bef27",
     "selected_variables.json": "0b874b781442d0b290cef5ea88fa17025eeb6a7eff25d573d288a0dfa9be091c",
     "summary.json": "76f0af4c04b3f0dc70a61115f1e82cc80cdb8faf16d34d7ca740b56f7cd09b02",
 }

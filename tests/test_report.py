@@ -1,5 +1,6 @@
 """Artifact emitters (CSV, SVG, text tables) and the run manifest."""
 
+import hashlib
 import json
 import re
 
@@ -15,7 +16,6 @@ from rulekit.apriori import SupportSpec
 from rulekit.errors import ValidationError
 from rulekit.forest import ImportanceEntry, ImportanceReport, export_importance_csv
 from rulekit.report import (
-    Artifact,
     ReportBundle,
     emit_crosstab,
     emit_importance_chart,
@@ -44,12 +44,6 @@ def _bars(svg: str, fill: str) -> list[tuple[float, float]]:
     return sorted(out)
 
 
-def test_artifact_kind_is_validated(tmp_path):
-    Artifact("rule_table", tmp_path / "x.csv")
-    with pytest.raises(ValidationError, match="artifact kind"):
-        Artifact("histogram", tmp_path / "x.csv")
-
-
 class TestRuleTable:
     def table_case(self):
         rs = two_item_records(7568, 385, 3851, 282)
@@ -65,7 +59,7 @@ class TestRuleTable:
     def test_csv_and_text_formats(self, tmp_path):
         result = self.table_case()
         arts = emit_rule_table(result, tmp_path / "rules.csv")
-        assert [a.kind for a in arts] == ["rule_table", "rule_table"]
+        assert arts == (tmp_path / "rules.csv", tmp_path / "rules.txt")
         lines = (tmp_path / "rules.csv").read_text().splitlines()
         assert lines[0] == "ID,antecedents,S (%),C (%),L"
         assert lines[1] == "R1,{driver_age=>64},3.726,73.25,1.44"
@@ -128,7 +122,7 @@ class TestItemFreqChart:
     def test_bar_widths_track_relative_frequency(self, tmp_path):
         freqs = self.freqs()
         arts = emit_item_freq_chart(freqs, tmp_path / "items.svg")
-        assert [a.kind for a in arts] == ["item_freq", "item_freq"]
+        assert arts == (tmp_path / "items.svg", tmp_path / "items.csv")
         svg = (tmp_path / "items.svg").read_text()
         bars = _bars(svg, "#4878a8")
         assert len(bars) == len(freqs)
@@ -226,7 +220,7 @@ class TestImportanceChart:
     def test_bars_top_down_in_report_order(self, tmp_path):
         report = self.report()
         arts = emit_importance_chart(report, tmp_path / "imp.svg")
-        assert [a.kind for a in arts] == ["importance", "importance"]
+        assert arts == (tmp_path / "imp.svg", tmp_path / "imp.csv")
         svg = (tmp_path / "imp.svg").read_text()
         bars = _bars(svg, "#a85858")
         assert len(bars) == 4
@@ -269,12 +263,16 @@ class TestCrosstabArtifact:
         )
         ct = cross_tabulate(make_records(d, rows), "sev", "light")
         (art,) = emit_crosstab(ct, tmp_path / "ct.csv")
-        assert art.kind == "crosstab"
+        assert art == tmp_path / "ct.csv"
         lines = (tmp_path / "ct.csv").read_text().splitlines()
         assert lines[0] == "sev,day_count,day_pct,dark_count,dark_pct,row_total"
         assert lines[1] == "fatal,1,20.00,3,60.00,4"
         assert lines[2] == "other,4,80.00,2,40.00,6"
         assert lines[3] == "total,5,100.00,5,100.00,10"
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestManifest:
@@ -285,23 +283,43 @@ class TestManifest:
         elsewhere = tmp_path / "elsewhere.csv"
         elsewhere.write_text("y")
         bundle = ReportBundle(config_hash="c" * 64, dataset_hash="d" * 64)
-        bundle.add(
-            Artifact("item_freq", out / "items.svg"),
-            Artifact("crosstab", elsewhere),
-        )
+        bundle.add(out / "items.svg", elsewhere)
         bundle.write_manifest(out / "manifest.json")
         doc = json.loads((out / "manifest.json").read_text())
         assert doc["config_hash"] == "c" * 64
         assert doc["dataset_hash"] == "d" * 64
-        assert doc["artifacts"][0] == {"kind": "item_freq", "path": "items.svg"}
-        assert doc["artifacts"][1]["path"] == str(elsewhere.resolve())
+        assert doc["artifacts"] == [
+            {"path": "items.svg", "sha256": _sha256(out / "items.svg")},
+            {"path": str(elsewhere.resolve()), "sha256": _sha256(elsewhere)},
+        ]
         assert re.fullmatch(
             r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\+00:00", doc["created_at"]
         )
 
-    def test_created_at_is_the_only_varying_field(self, tmp_path):
+    def test_each_path_once_in_the_order_added(self, tmp_path):
+        for name in ("b.csv", "a.csv"):
+            (tmp_path / name).write_text(name)
         bundle = ReportBundle(config_hash="c", dataset_hash="d")
-        bundle.add(Artifact("rule_table", tmp_path / "r.csv"))
+        bundle.add(tmp_path / "b.csv", tmp_path / "a.csv")
+        bundle.add(tmp_path / "b.csv")
+        bundle.write_manifest(tmp_path / "manifest.json")
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        assert [a["path"] for a in doc["artifacts"]] == ["b.csv", "a.csv"]
+
+    def test_sha256_is_of_the_file_when_the_manifest_is_written(self, tmp_path):
+        rules = tmp_path / "r.csv"
+        rules.write_text("first")
+        bundle = ReportBundle(config_hash="c", dataset_hash="d")
+        bundle.add(rules)
+        rules.write_text("second")
+        bundle.write_manifest(tmp_path / "manifest.json")
+        (entry,) = json.loads((tmp_path / "manifest.json").read_text())["artifacts"]
+        assert entry == {"path": "r.csv", "sha256": hashlib.sha256(b"second").hexdigest()}
+
+    def test_created_at_is_the_only_varying_field(self, tmp_path):
+        (tmp_path / "r.csv").write_text("x")
+        bundle = ReportBundle(config_hash="c", dataset_hash="d")
+        bundle.add(tmp_path / "r.csv")
         bundle.write_manifest(tmp_path / "m1.json")
         bundle.write_manifest(tmp_path / "m2.json")
         a = json.loads((tmp_path / "m1.json").read_text())
