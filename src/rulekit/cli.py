@@ -2,9 +2,12 @@
 
 A single JSON run configuration drives everything; flags only pick the
 command, the config, and cheap overrides (output directory, seed).
-``load_config`` maps the config's ``forest`` object and each of its cases
-onto ``ForestConfig`` and ``MiningCase`` by field name; those classes own
-their defaults and checks. Exit codes: 0 on success, 2 for configuration or
+``load_config`` maps the config's top-level object, its ``forest`` object
+and each of its cases onto ``RunConfig``, ``ForestConfig`` and
+``MiningCase`` by field name; those classes own their defaults and checks.
+The top-level ``seed`` seeds ``ForestConfig``. A flag replaces a config
+value only after that value has passed its check, so a config is valid or
+not whatever the flags. Exit codes: 0 on success, 2 for configuration or
 validation problems, 1 for runtime and I/O failures. Error messages on
 stderr name the failing stage.
 
@@ -28,9 +31,9 @@ import json
 import logging
 import re
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -49,6 +52,7 @@ from .report import ReportBundle, emit_crosstab, emit_importance_chart, \
 from .rules import MiningCase, export_case_csv, export_case_metadata, run_case
 from .schema import (
     DEFAULT_RECORD_ID_COLUMN,
+    FilterStep,
     RecordSet,
     UnknownPolicy,
     cross_tabulate,
@@ -61,24 +65,38 @@ from .transactions import encode, item_frequencies, parse_item_token
 
 logger = logging.getLogger(__name__)
 
-_CONFIG_KEYS = {
-    "dictionary",
-    "data",
-    "record_id_column",
-    "unknown_policy",
-    "filter_steps",
-    "response",
-    "features",
-    "top_k_features",
-    "forest",
-    "cases",
-    "output_dir",
-    "seed",
-    "crosstab_rows",
-    "full_universe",
-}
-# Readers of the fields whose JSON form is not the stored value.
+_PATHS = ("dictionary", "data", "output_dir")  # taken against the config's directory
+
+
+def _unknown_policy(value: object) -> UnknownPolicy:
+    if not isinstance(value, str):
+        raise ValidationError(f"'unknown_policy' must be a string, got {value!r}")
+    try:
+        return UnknownPolicy(value.lower())
+    except ValueError:
+        raise ValidationError(
+            f"unknown_policy must be 'reject' or 'coerce', got {value.lower()!r}"
+        ) from None
+
+
+def _cases(value: object) -> tuple[MiningCase, ...]:
+    if not isinstance(value, list):
+        raise ValidationError("'cases' must be an array")
+    cases = []
+    for i, entry in enumerate(value):
+        if isinstance(entry, Mapping) and "consequent" not in entry:
+            entry = {**entry, "consequent": None}  # unconstrained: every item is tried
+        cases.append(_from_json(MiningCase, entry, f"cases[{i}]"))
+    return tuple(cases)
+
+
+# Readers of the keys whose JSON form is not the stored value.
 _READERS = {
+    "unknown_policy": _unknown_policy,
+    "filter_steps": load_filter_steps,
+    "features": lambda names: None if names is None else _names(names, "'features'"),
+    "crosstab_rows": lambda names: None if names is None else _names(names, "'crosstab_rows'"),
+    "cases": _cases,
     "consequent": lambda token: None if token is None else parse_item_token(str(token)),
     "min_support": SupportSpec.parse,
 }
@@ -86,19 +104,51 @@ _READERS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    dictionary_path: Path
-    data_path: Path
-    record_id_column: str
-    unknown_policy: UnknownPolicy
-    filter_steps: tuple
+    """The config's top-level keys, each a field but ``seed``, which seeds ``forest``.
+
+    ``load_config`` takes the three paths against the config file's directory.
+    """
+
+    dictionary: Path
+    data: Path
     response: str
-    features: tuple[str, ...] | None
-    top_k_features: int
     forest: ForestConfig
-    cases: tuple[MiningCase, ...]
-    output_dir: Path
-    crosstab_rows: tuple[str, ...] | None
-    full_universe: bool
+    record_id_column: str = DEFAULT_RECORD_ID_COLUMN
+    unknown_policy: UnknownPolicy = UnknownPolicy.REJECT
+    filter_steps: tuple[FilterStep, ...] = ()
+    features: tuple[str, ...] | None = None
+    top_k_features: int = 10
+    cases: tuple[MiningCase, ...] = ()
+    output_dir: Path = Path("out")
+    crosstab_rows: tuple[str, ...] | None = None
+    full_universe: bool = False
+
+    def __post_init__(self) -> None:
+        # string values are taken as they are, never converted with str()
+        for name in (*_PATHS, "response", "record_id_column"):
+            value = getattr(self, name)
+            if not isinstance(value, (str, Path) if name in _PATHS else str):
+                raise ValidationError(f"{name!r} must be a string, got {value!r}")
+        for name in _PATHS:
+            object.__setattr__(self, name, Path(getattr(self, name)))
+        k = self.top_k_features
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise ValidationError(f"'top_k_features' must be an integer, got {k!r}")
+        if k < 1:
+            raise ValidationError("top_k_features must be >= 1")
+        if not isinstance(self.full_universe, bool):  # the string "false" would read as true
+            raise ValidationError(
+                f"'full_universe' must be true or false, got {self.full_universe!r}"
+            )
+        if self.features is not None and not self.features:
+            raise ValidationError("'features', when given, must be nonempty")
+        names = [c.name for c in self.cases]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ValidationError(
+                f"case names must be distinct; repeated: {', '.join(map(repr, repeated))}"
+            )
+        _file_stems(names, "cases")
 
 
 class CliFailure(Exception):
@@ -125,12 +175,13 @@ def _stage(name: str) -> Iterator[None]:
         raise CliFailure(name, f"{type(exc).__name__}: {exc}", 1) from exc
 
 
-def _from_json(cls: type, raw: object, where: str, **fixed: object):
+def _from_json(cls: type, raw: object, where: str, *, label_readers: bool = True, **fixed):
     """``cls`` built from the JSON object ``raw``, whose keys are its field names.
 
     The fields in ``fixed`` are not settable from ``raw``. An unknown key, or a
     missing one whose field has no default, is refused naming ``where``; ``cls``
-    checks the values. A reader's error is prefixed with ``where``.
+    checks the values. A reader's error is prefixed with ``where`` when
+    ``label_readers``; the top level's readers name their key themselves.
     """
     if not isinstance(raw, Mapping):
         raise ValidationError(f"{where} must be an object")
@@ -144,14 +195,10 @@ def _from_json(cls: type, raw: object, where: str, **fixed: object):
     try:
         values = {k: _READERS[k](v) if k in _READERS else v for k, v in raw.items()}
     except ValidationError as exc:
+        if not label_readers:
+            raise
         raise ValidationError(f"{where}: {exc}") from exc
     return cls(**values, **fixed)
-
-
-def _parse_case(entry: object, index: int) -> MiningCase:
-    if isinstance(entry, Mapping) and "consequent" not in entry:
-        entry = {**entry, "consequent": None}  # unconstrained: every item is tried
-    return _from_json(MiningCase, entry, f"cases[{index}]")
 
 
 def _names(value: object, what: str) -> tuple[str, ...]:
@@ -162,18 +209,6 @@ def _names(value: object, what: str) -> tuple[str, ...]:
     if repeated:
         raise ValidationError(f"{what} repeats {', '.join(map(repr, repeated))}")
     return tuple(value)
-
-
-def _string(raw: Mapping, key: str, default: str | None = None) -> str:
-    value = raw.get(key, default)
-    if not isinstance(value, str):
-        raise ValidationError(f"{key!r} must be a string, got {value!r}")
-    return value
-
-
-def _optional_names(raw: Mapping, key: str) -> tuple[str, ...] | None:
-    value = raw.get(key)
-    return None if value is None else _names(value, repr(key))
 
 
 def _require_file(path: Path, what: str) -> None:
@@ -192,7 +227,8 @@ def load_config(
 
     Relative paths are taken against the config file's directory; the config
     and the input paths it references must be regular files. ``out_dir`` and
-    ``seed`` are the CLI overrides.
+    ``seed`` are the CLI overrides; the values they replace are checked all
+    the same.
     """
     path = Path(path)
     _require_file(path, "config path")
@@ -202,118 +238,65 @@ def load_config(
         raise ValidationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ValidationError(f"config has unknown key(s): {', '.join(sorted(unknown))}")
-    for key in ("dictionary", "data", "response"):
-        if key not in raw:
-            raise ValidationError(f"config is missing {key!r}")
-
-    base = path.resolve().parent
-
-    def respath(key: str, default: str | None = None) -> Path:
-        q = Path(_string(raw, key, default))
-        return q if q.is_absolute() else base / q
-
-    dictionary_path = respath("dictionary")
-    data_path = respath("data")
-    output_dir = respath("output_dir", "out")
-    for p in (dictionary_path, data_path):
-        _require_file(p, "referenced path")
-
-    if seed is None:
-        seed = raw.get("seed", ForestConfig.seed)
-    forest = _from_json(ForestConfig, raw.get("forest", {}), "'forest'", seed=seed)
-
-    policy_name = _string(raw, "unknown_policy", "reject").lower()
-    try:
-        policy = UnknownPolicy(policy_name)
-    except ValueError:
-        raise ValidationError(
-            f"unknown_policy must be 'reject' or 'coerce', got {policy_name!r}"
-        ) from None
-
-    cases_raw = raw.get("cases", [])
-    if not isinstance(cases_raw, Sequence) or isinstance(cases_raw, (str, bytes)):
-        raise ValidationError("'cases' must be an array")
-    cases = tuple(_parse_case(entry, i) for i, entry in enumerate(cases_raw))
-    names = [c.name for c in cases]
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        raise ValidationError(
-            f"case names must be distinct; repeated: {', '.join(map(repr, repeated))}"
-        )
-    stems: dict[str, str] = {}  # artifact file stem -> case name
-    for name in names:
-        clash = stems.setdefault(_safe_name(name), name)
-        if clash != name:
-            raise ValidationError(
-                f"cases {clash!r} and {name!r} must stay distinct after sanitization"
-            )
-
-    features = _optional_names(raw, "features")
-    if features is not None and not features:
-        raise ValidationError("'features', when given, must be nonempty")
-    crosstab_rows = _optional_names(raw, "crosstab_rows")
-    top_k_features = raw.get("top_k_features", 10)
-    if isinstance(top_k_features, bool) or not isinstance(top_k_features, int):
-        raise ValidationError(f"'top_k_features' must be an integer, got {top_k_features!r}")
-    if top_k_features < 1:
-        raise ValidationError("top_k_features must be >= 1")
-    full_universe = raw.get("full_universe", False)
-    if not isinstance(full_universe, bool):  # the string "false" would read as true
-        raise ValidationError(f"'full_universe' must be true or false, got {full_universe!r}")
-
-    return RunConfig(
-        dictionary_path=dictionary_path,
-        data_path=data_path,
-        record_id_column=_string(raw, "record_id_column", DEFAULT_RECORD_ID_COLUMN),
-        unknown_policy=policy,
-        filter_steps=load_filter_steps(raw.get("filter_steps", [])),
-        response=_string(raw, "response"),
-        features=features,
-        top_k_features=top_k_features,
-        forest=forest,
-        cases=cases,
-        output_dir=Path(out_dir) if out_dir is not None else output_dir,
-        crosstab_rows=crosstab_rows,
-        full_universe=full_universe,
+    forest = _from_json(
+        ForestConfig, raw.pop("forest", {}), "'forest'", seed=raw.pop("seed", ForestConfig.seed)
     )
+    if seed is not None:
+        forest = replace(forest, seed=seed)
+    cfg = _from_json(RunConfig, raw, "config", label_readers=False, forest=forest)
+    base = path.resolve().parent
+    cfg = replace(
+        cfg,
+        dictionary=base / cfg.dictionary,
+        data=base / cfg.data,
+        output_dir=base / cfg.output_dir if out_dir is None else Path(out_dir),
+    )
+    for p in (cfg.dictionary, cfg.data):
+        _require_file(p, "referenced path")
+    return cfg
 
 
 def config_digest(cfg: RunConfig) -> str:
-    """Hash of the analysis parameters; paths and thread count excluded."""
-    semantic = {
-        "record_id_column": cfg.record_id_column,
-        "unknown_policy": cfg.unknown_policy.value,
-        "filter_steps": [
-            {"variable": s.variable, "keep": sorted(s.keep)} for s in cfg.filter_steps
-        ],
-        "response": cfg.response,
-        "features": list(cfg.features) if cfg.features is not None else None,
-        "top_k_features": cfg.top_k_features,
-        "forest": asdict(cfg.forest),
-        "cases": [case.describe() for case in cfg.cases],
-        "seed": cfg.forest.seed,
-        "full_universe": cfg.full_universe,
-        "crosstab_rows": list(cfg.crosstab_rows)
-        if cfg.crosstab_rows is not None
-        else None,
-    }
-    blob = json.dumps(semantic, sort_keys=True).encode("utf-8")
+    """Hash of the analysis parameters: every field but the paths, and the seed."""
+    semantic = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in _PATHS}
+    semantic["seed"] = cfg.forest.seed
+    blob = json.dumps(semantic, sort_keys=True, default=_jsonable).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
+
+
+def _jsonable(value: object) -> object:
+    """The JSON form of a config value that ``json`` cannot write itself."""
+    if isinstance(value, MiningCase):
+        return value.describe()
+    if isinstance(value, UnknownPolicy):
+        return value.value
+    if isinstance(value, frozenset):  # a filter step's categories
+        return sorted(value)
+    return asdict(value)  # ForestConfig, FilterStep
 
 
 def dataset_digest(cfg: RunConfig) -> str:
     h = hashlib.sha256()
-    h.update(cfg.dictionary_path.read_bytes())
+    h.update(cfg.dictionary.read_bytes())
     h.update(b"\x00")
-    h.update(cfg.data_path.read_bytes())
+    h.update(cfg.data.read_bytes())
     return h.hexdigest()
 
 
 def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", name).strip("_") or "case"
+
+
+def _file_stems(names: Iterable[str], what: str) -> dict[str, str]:
+    """File stem -> name for each of ``names``; two names with one stem are refused."""
+    stems: dict[str, str] = {}
+    for name in names:
+        clash = stems.setdefault(_safe_name(name), name)
+        if clash != name:
+            raise ValidationError(
+                f"{what} {clash!r} and {name!r} must stay distinct after sanitization"
+            )
+    return stems
 
 
 def _describe(cfg: RunConfig, rs: RecordSet, bundle: ReportBundle, out: Path) -> None:
@@ -322,13 +305,7 @@ def _describe(cfg: RunConfig, rs: RecordSet, bundle: ReportBundle, out: Path) ->
             row_vars = cfg.crosstab_rows
         else:
             row_vars = tuple(v for v in rs.dictionary.names if v != cfg.response)
-        files: dict[str, str] = {}  # crosstab file stem -> row variable
-        for var in row_vars:
-            clash = files.setdefault(_safe_name(var), var)
-            if clash != var:
-                raise ValidationError(
-                    f"crosstab rows {clash!r} and {var!r} must stay distinct after sanitization"
-                )
+        files = _file_stems(row_vars, "crosstab rows")
         tables = {stem: cross_tabulate(rs, var, cfg.response) for stem, var in files.items()}
         value_counts = {
             var.name: dict(
@@ -338,14 +315,7 @@ def _describe(cfg: RunConfig, rs: RecordSet, bundle: ReportBundle, out: Path) ->
         }
         summary = {
             "record_count": len(rs),
-            "filter_log": [
-                {
-                    "description": e.description,
-                    "records_before": e.records_before,
-                    "records_after": e.records_after,
-                }
-                for e in rs.filter_log
-            ],
+            "filter_log": [asdict(e) for e in rs.filter_log],
             "value_counts": value_counts,
         }
         bundle.add(write_json(out / "summary.json", summary))
@@ -471,9 +441,9 @@ def _run(cfg: RunConfig, describe: bool = False, select: bool = False,
             config_hash=config_digest(cfg), dataset_hash=dataset_digest(cfg)
         )
     with _stage("ingest"):
-        dictionary = load_dictionary(cfg.dictionary_path)
+        dictionary = load_dictionary(cfg.dictionary)
         rs = ingest(
-            cfg.data_path, dictionary, cfg.unknown_policy, cfg.record_id_column
+            cfg.data, dictionary, cfg.unknown_policy, cfg.record_id_column
         )
         logger.info("ingested %d records", len(rs))
     with _stage("filter"):

@@ -7,12 +7,13 @@ import logging
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import rulekit
-from rulekit.cli import config_digest, load_config, main
+from rulekit.cli import RunConfig, config_digest, load_config, main
 from rulekit.forest import ForestConfig
 
 SAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "sample" / "config.json"
@@ -353,6 +354,19 @@ class TestConfigErrors:
         assert main(["describe", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "stage 'config': 'output_dir' must be a string, got 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "seed,needle",
+        [("x", "forest 'seed' must be an integer, got 'x'"),
+         (-1, "seed -1 must be in [0, 2**64)")],
+    )
+    def test_config_seed_is_checked_when_seed_overrides_it(self, tmp_path, capsys, seed, needle):
+        # a config is valid or not whatever the flags
+        cfg = write_workspace(tmp_path, {**BASE_CONFIG, "seed": seed})
+        assert main(["describe", "--config", str(cfg), "--seed", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "failed in stage 'config'" in err and needle in err
+        assert not (tmp_path / "out").exists()
+
     def test_unparsable_record_exits_2_naming_its_row(self, tmp_path, capsys):
         cfg = write_workspace(tmp_path)
         with open(tmp_path / "data.csv", "a", newline="") as fh:
@@ -370,7 +384,20 @@ class TestConfigErrors:
     def test_defaults_written_out_change_nothing(self, tmp_path):
         config = json.loads(json.dumps(BASE_CONFIG))
         config["cases"].append({"name": "any", "min_support": 3, "min_confidence": 0.4})
+        for key in ("top_k_features", "seed", "output_dir"):
+            del config[key]
         cfg = write_workspace(tmp_path, config)
+        config.update({
+            "record_id_column": "crash_number",
+            "unknown_policy": "reject",
+            "filter_steps": [],
+            "features": None,
+            "top_k_features": 10,
+            "output_dir": "out",
+            "crosstab_rows": None,
+            "full_universe": False,
+            "seed": 0,
+        })
         config["forest"].update({"mtry": None, "max_depth": None})
         config["forest"].setdefault("n_trees", 500)
         for case in config["cases"]:
@@ -381,7 +408,44 @@ class TestConfigErrors:
         implicit, explicit = load_config(cfg), load_config(spelled)
         assert implicit == explicit
         assert config_digest(implicit) == config_digest(explicit)
-        assert implicit.forest == ForestConfig(n_trees=25, min_node_size=2, seed=3)
+        assert implicit.forest == ForestConfig(n_trees=25, min_node_size=2, seed=0)
+
+    def test_config_digest_covers_every_analysis_key_and_no_path(self, tmp_path):
+        cfg = write_workspace(tmp_path)
+        base = config_digest(load_config(cfg))
+        changes = {
+            "record_id_column": "id",
+            "unknown_policy": "coerce",
+            "filter_steps": [{"variable": "road", "keep": ["dry"]}],
+            "response": "severity",
+            "features": ["weather"],
+            "top_k_features": 4,
+            "forest": {**BASE_CONFIG["forest"], "n_trees": 26},
+            "cases": [{**BASE_CONFIG["cases"][0], "min_confidence": 0.6}],
+            "crosstab_rows": ["road"],
+            "full_universe": True,
+            "seed": 4,
+        }
+        paths = {"dictionary", "data", "output_dir"}
+        assert set(changes) == {f.name for f in fields(RunConfig)} - paths | {"seed"}
+        digests = {base}
+        for key, value in changes.items():
+            changed = tmp_path / f"{key}.json"
+            changed.write_text(json.dumps({**BASE_CONFIG, key: value}))
+            digests.add(config_digest(load_config(changed)))
+        assert len(digests) == 1 + len(changes)
+
+        # paths, the output directory and the flags that are not the seed hash alike
+        for name in ("dictionary.json", "data.csv"):
+            (tmp_path / f"copy_{name}").write_bytes((tmp_path / name).read_bytes())
+        moved = {**BASE_CONFIG, "dictionary": "copy_dictionary.json", "data": "copy_data.csv",
+                 "output_dir": "elsewhere"}
+        (tmp_path / "moved.json").write_text(json.dumps(moved))
+        assert config_digest(load_config(tmp_path / "moved.json")) == base
+        assert config_digest(load_config(cfg, out_dir=tmp_path / "o")) == base
+        args = ["describe", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "4"]
+        assert main(args) == 0
+        assert json.loads((tmp_path / "o" / "manifest.json").read_text())["config_hash"] == base
 
     def test_integer_thresholds_read_as_their_floats(self, tmp_path):
         metas, hashes = set(), set()

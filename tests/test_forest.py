@@ -445,7 +445,7 @@ class TestFlatForestMatchesReference:
     def test_sample_data(self):
         cfg = load_config(Path(__file__).resolve().parent.parent / "sample" / "config.json")
         rs = ingest(
-            cfg.data_path, load_dictionary(cfg.dictionary_path),
+            cfg.data, load_dictionary(cfg.dictionary),
             cfg.unknown_policy, cfg.record_id_column,
         )
         rs = filter_records(rs, cfg.filter_steps)
