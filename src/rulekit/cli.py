@@ -12,9 +12,10 @@ validation problems, 1 for runtime and I/O failures. Error messages on
 stderr name the failing stage.
 
 Every file a command writes is added to one ``ReportBundle``, whose
-``manifest.json`` lists each with its sha256. A ``mine`` without
-``features`` reads ``selected_variables.json`` from the output directory
-and refuses one that ranks variables for another response.
+``manifest.json`` lists each with its sha256. ``mine`` and ``pipeline``
+refuse a config with no cases before they create the output directory. A
+``mine`` without ``features`` reads ``selected_variables.json`` from the
+output directory and refuses one that ranks variables for another response.
 
 ``--threads`` is still parsed and checked, a value below 1 exiting 2, but
 nothing reads it: every stage runs on one OS thread. Importing the package
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import json
 import logging
@@ -366,8 +368,6 @@ def _mine(
     features: tuple[str, ...] | None,
 ) -> None:
     with _stage("mine"):
-        if not cfg.cases:
-            raise ValidationError("config has no mining cases")
         if features is None:
             selected_file = out / "selected_variables.json"
             if cfg.features is not None:
@@ -436,6 +436,8 @@ def _run(cfg: RunConfig, describe: bool = False, select: bool = False,
     """Ingest and filter once, run the chosen stages in order, write one manifest."""
     out = cfg.output_dir
     with _stage("config"):
+        if mine and not cfg.cases:
+            raise ValidationError("config has no mining cases")
         out.mkdir(parents=True, exist_ok=True)
         bundle = ReportBundle(
             config_hash=config_digest(cfg), dataset_hash=dataset_digest(cfg)
@@ -539,4 +541,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    code = main()
+    gc.freeze()  # the collection the interpreter runs at exit skips frozen objects
+    sys.exit(code)

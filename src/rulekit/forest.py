@@ -51,10 +51,12 @@ compared with the accuracy after permuting one feature's column within those
 records, tree t drawing its permutations from stream (seed, 1, t); the
 per-feature mean over trees is the mda, reported with its standard
 deviation. A feature no tree ever splits on scores exactly 0. A permuted row
-follows its unpermuted path down to the first node that splits on the
-permuted feature, so it is routed again only from there, and only if the
-permutation changed its code for that feature; a row whose code is unchanged
-reaches the same leaf.
+follows its unpermuted path down to the first node on it that splits on the
+permuted feature, read from a (node, feature) table at the row's leaf; that
+table is filled top-down, each node holding its parent's first splits and,
+if new, its own. The row is routed again only from there, as an ordinary
+query over its codes with that feature's code from the permuted record, and
+only if the permutation changed that code; otherwise it reaches the same leaf.
 """
 
 from __future__ import annotations
@@ -744,11 +746,12 @@ def train(
 
 def _concat_trees(trees: Sequence[DecisionTree]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Root ids and the trees' node arrays end to end, ids offset to match:
-    split feature, majority class, the start of each node's routing table
-    and the child table. Node i sends category c to child[route_start[i] + c],
-    its left child where routing[route_start[i] + c] holds, else its right
-    one, which is the left one's id plus one. Node ids and table offsets
-    widen to intp as they are concatenated, before any offset is added."""
+    split feature, left child, majority class, the start of each node's
+    routing table and the child table. Node i sends category c to
+    child[route_start[i] + c], its left child where routing[route_start[i] + c]
+    holds, else its right one, which is the left one's id plus one. Node ids
+    and table offsets widen to intp as they are concatenated, before any
+    offset is added."""
     sizes = [len(t.feature) for t in trees]
     roots = np.cumsum(sizes) - sizes
     route_sizes = [len(t.routing) for t in trees]
@@ -759,6 +762,7 @@ def _concat_trees(trees: Sequence[DecisionTree]) -> tuple[np.ndarray, tuple[np.n
     widths = np.concatenate([np.diff(t.route_start) for t in trees])
     flat = (
         np.concatenate([t.feature for t in trees]),
+        left,
         np.concatenate([t.class_index for t in trees]),
         route_start,
         np.repeat(left, widths) + ~np.concatenate([t.routing for t in trees]),
@@ -767,49 +771,45 @@ def _concat_trees(trees: Sequence[DecisionTree]) -> tuple[np.ndarray, tuple[np.n
 
 
 def _predict(
-    flat: tuple[np.ndarray, ...],
-    codes: np.ndarray,
-    start: np.ndarray,
-    row: np.ndarray,
-    permuted: tuple[int, np.ndarray] | None = None,
-    first_split: np.ndarray | None = None,
+    flat: tuple[np.ndarray, ...], codes: np.ndarray, start: np.ndarray, row: np.ndarray
 ) -> np.ndarray:
-    """Class index of the leaf each query reaches, one tree level per step.
-
-    codes is the row-major (record, feature) code matrix. Query q starts at
-    node start[q] and reads the codes of record row[q]; with permuted =
-    (f, rows) it reads feature f from record rows[q] instead. If given,
-    first_split[f, q] is set to the first node on query q's path that splits
-    on feature f, where it is still negative. Queries are routed _CHUNK_ROWS
-    at a time.
-    """
-    feature, class_index, route_start, child = flat
+    """The leaf each query reaches, one tree level per step: query q starts at
+    node start[q] and reads the codes of record row[q] from codes, a row-major
+    (record, feature) matrix. Queries are routed _CHUNK_ROWS at a time."""
+    feature, _, _, route_start, child = flat
     p = codes.shape[1]
     codes = codes.ravel()
     out = np.empty(len(start), dtype=np.intp)
     for lo in range(0, len(start), _CHUNK_ROWS):
         query = np.arange(lo, min(lo + _CHUNK_ROWS, len(start)))
         node, at = start[query], row[query] * p  # at: the record's first code
-        if permuted is not None:
-            pf, permuted_at = permuted[0], permuted[1][query] * p
         while len(query):
             f = feature[node]
             leaf = f < 0
             if leaf.any():
-                out[query[leaf]] = class_index[node[leaf]]
+                out[query[leaf]] = node[leaf]
                 inner = ~leaf
                 query, node, at, f = query[inner], node[inner], at[inner], f[inner]
-                if permuted is not None:
-                    permuted_at = permuted_at[inner]
-            if first_split is not None:
-                new = first_split[f, query] < 0
-                first_split[f[new], query[new]] = node[new]
-            if permuted is not None:
-                code = codes[np.where(f == pf, permuted_at, at) + f]
-            else:
-                code = codes[at + f]
-            node = child[route_start[node] + code]
+            node = child[route_start[node] + codes[at + f]]
     return out
+
+
+def _first_splits(flat: tuple[np.ndarray, ...], roots: np.ndarray, n_features: int) -> np.ndarray:
+    """The (node, feature) table whose entry (i, f) is the first node on the
+    path from i's root down to i, i included, that splits on f, or -1. It is
+    filled one tree level at a time, each child taking its parent's row, in
+    the smallest signed dtype that holds a node id."""
+    feature, left = flat[:2]
+    table = np.full((len(feature), n_features), -1, _int_dtype(len(feature) - 1, signed=True))
+    level = roots
+    while len(level):
+        level = level[feature[level] >= 0]
+        own = level[table[level, feature[level]] < 0]
+        table[own, feature[own]] = own
+        child = left[level]
+        table[child] = table[child + 1] = table[level]
+        level = np.concatenate([child, child + 1])
+    return table
 
 
 def oob_predict(forest: Forest) -> OobPrediction:
@@ -828,9 +828,10 @@ def oob_predict(forest: Forest) -> OobPrediction:
     for block in _tree_blocks(n, len(forest.trees), _CHUNK_ROWS):
         trees = [forest.trees[t] for t in block]
         roots, flat = _concat_trees(trees)
+        _, _, class_index, _, _ = flat
         rows = np.concatenate([t.oob_indices for t in trees], dtype=np.intp)
         start = np.repeat(roots, [len(t.oob_indices) for t in trees])
-        preds = _predict(flat, by_record, start, rows)
+        preds = class_index[_predict(flat, by_record, start, rows)]
         votes += np.bincount(rows * n_classes + preds, minlength=n * n_classes)
     votes = votes.reshape(n, n_classes)
     covered = votes.sum(axis=1) > 0
@@ -849,24 +850,20 @@ def mda_importance(forest: Forest) -> ImportanceReport:
     """Mean Decrease Accuracy per feature, averaged over trees.
 
     For each tree, each feature's column is permuted within the tree's
-    out-of-bag rows (one fresh permutation per tree and feature, tree t
-    drawing from stream (forest seed, 1, t)) and the accuracy drop recorded;
-    trees with no out-of-bag rows are skipped. The report is sorted by
-    descending mda, ties by dictionary variable order.
+    out-of-bag rows (one fresh rng.permutation of those rows per tree and
+    feature, tree t drawing from stream (forest seed, 1, t)) and the accuracy
+    drop recorded; trees with no out-of-bag rows are skipped. The report is
+    sorted by descending mda, ties by dictionary variable order.
     """
     X, y = forest.codes[:-1], forest.codes[-1]
     by_record = np.ascontiguousarray(X.T)
     n_features = len(forest.features)
 
     def block_drops(block: range) -> list[np.ndarray]:
-        """The accuracy drop per feature of each tree in block with OOB rows.
-
-        A permuted row is routed again only from the first node on its
-        unpermuted path that splits on the permuted feature, and only if the
-        permutation changed its code there; otherwise it reaches the same leaf.
-        """
+        """The accuracy drop per feature of each tree in block with OOB rows."""
         members = [forest.trees[t] for t in block]
         roots, flat = _concat_trees(members)
+        _, _, class_index, _, _ = flat
         kept = [
             (t, tree.oob_indices, root)
             for t, tree, root in zip(block, members, roots.tolist())
@@ -880,18 +877,19 @@ def mda_importance(forest: Forest) -> ImportanceReport:
         oobs = np.split(oob, np.cumsum(sizes)[:-1])  # each tree's, as views
         owner = np.repeat(np.arange(len(kept)), sizes)
         start = np.repeat([root for _, _, root in kept], sizes)
-        first_split = np.full((n_features, len(oob)), -1, dtype=np.intp)
-        base = _predict(flat, by_record, start, oob, first_split=first_split) == y[oob]
+        leaf = _predict(flat, by_record, start, oob)
+        base = class_index[leaf] == y[oob]
+        first_split = _first_splits(flat, roots, n_features)[leaf]
         hits = np.empty((len(kept), n_features + 1), dtype=np.int64)
         hits[:, 0] = np.bincount(owner[base], minlength=len(kept))
         for f in range(n_features):
             # Draw every tree's f-th permutation, in feature order per stream.
-            permuted_rows = np.concatenate(
-                [o[rng.permutation(len(o))] for o, rng in zip(oobs, rngs)]
-            )
-            q = np.flatnonzero((first_split[f] >= 0) & (X[f, permuted_rows] != X[f, oob]))
-            pred = _predict(flat, by_record, first_split[f, q], oob[q], (f, permuted_rows[q]))
-            now = pred == y[oob[q]]
+            permuted = np.concatenate([rng.permutation(o) for o, rng in zip(oobs, rngs)])
+            q = np.flatnonzero((first_split[:, f] >= 0) & (X[f, permuted] != X[f, oob]))
+            codes = by_record[oob[q]]
+            codes[:, f] = X[f, permuted[q]]
+            leaf = _predict(flat, codes, first_split[q, f], np.arange(len(q)))
+            now = class_index[leaf] == y[oob[q]]
             change = now.astype(np.int64) - base[q]
             hits[:, f + 1] = hits[:, 0] + np.bincount(
                 owner[q], weights=change, minlength=len(kept)

@@ -642,6 +642,24 @@ def reference_tree_predict(
     return out
 
 
+def reference_first_splits(nodes: Sequence[TreeNode], n_features: int) -> np.ndarray:
+    """Per node and feature, the first node on the path from the root down to
+    that node, the node included, that splits on the feature, or -1; one node
+    at a time, carrying the path's first splits down a depth-first walk."""
+    table = np.full((len(nodes), n_features), -1, dtype=np.int64)
+    stack: list[tuple[int, list[int]]] = [(0, [-1] * n_features)]
+    while stack:
+        nid, first = stack.pop()
+        node = nodes[nid]
+        if not node.is_leaf and first[node.feature] < 0:
+            first = [nid if f == node.feature else at for f, at in enumerate(first)]
+        table[nid] = first
+        if not node.is_leaf:
+            stack.append((node.left, first))
+            stack.append((node.right, first))
+    return table
+
+
 def _forest_arrays(forest: Forest, rs: RecordSet):
     rows = [values for _, values in rows_of(rs)]
     X = reference_encode(rs.dictionary, rows, forest.features)

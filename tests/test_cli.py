@@ -662,6 +662,22 @@ class TestMine:
         assert main(["mine", "--config", str(cfg)]) == 2
         assert "no mining cases" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["mine", "pipeline"])
+    def test_no_cases_fails_before_anything_is_written(self, tmp_path, capsys, command):
+        config = dict(BASE_CONFIG, cases=[], features=["weather"])
+        cfg = write_workspace(tmp_path, config)
+        out = tmp_path / "empty"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{command} failed in stage 'config': config has no mining cases" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["describe", "select-vars"])
+    def test_commands_that_do_not_mine_accept_no_cases(self, tmp_path, command):
+        cfg = write_workspace(tmp_path, dict(BASE_CONFIG, cases=[]))
+        assert main([command, "--config", str(cfg)]) == 0
+        assert (tmp_path / "out" / "manifest.json").is_file()
+
 
 class TestCommandLine:
     @pytest.mark.parametrize("argv", [

@@ -16,6 +16,7 @@ from generators import (
     make_records,
     oracle_best_partition,
     planted_mda_records,
+    reference_first_splits,
     reference_mda,
     reference_oob_predict,
     reference_train,
@@ -385,6 +386,19 @@ def _report_bits(report):
     )
 
 
+def _assert_first_splits_match_reference(forest):
+    """MDA's first-split table over the whole forest laid end to end, against
+    a walk over each tree's nodes, in the narrowest signed dtype of a node id."""
+    roots, flat = forest_module._concat_trees(forest.trees)
+    table = forest_module._first_splits(flat, roots, len(forest.features))
+    assert table.dtype == np.min_scalar_type(-len(table))
+    want = []
+    for tree, root in zip(forest.trees, roots.tolist()):
+        ref = reference_first_splits(tree.nodes, len(forest.features))
+        want.append(np.where(ref >= 0, ref + root, -1))
+    assert np.array_equal(table, np.vstack(want))
+
+
 def _assert_matches_reference(rs, response, features, cfg, forest):
     reference = reference_train(rs, response, features, cfg)
     assert len(forest.trees) == len(reference)
@@ -392,6 +406,7 @@ def _assert_matches_reference(rs, response, features, cfg, forest):
         assert tree.nodes == nodes
         assert np.array_equal(tree.in_bag, in_bag)
         assert np.array_equal(tree.oob_indices, np.flatnonzero(in_bag == 0))
+    _assert_first_splits_match_reference(forest)
     got, want = oob_predict(forest), reference_oob_predict(forest, rs)
     assert got.predictions == want.predictions
     assert got.accuracy == want.accuracy or (
@@ -523,13 +538,16 @@ class TestCompactForest:
         assert sum(len(t.routing) for t in forest.trees) > 2**8
         # a wrapped node id could send a query round a cycle, so check the
         # concatenated ids before routing anything
-        roots, (_, _, route_start, child) = forest_module._concat_trees(forest.trees)
+        roots, (_, left, _, route_start, child) = forest_module._concat_trees(forest.trees)
+        node_ends = np.cumsum([len(t.left) for t in forest.trees])[:-1]
         offset = 0
-        for tree, root, at, to in zip(
+        for tree, root, down, at, to in zip(
             forest.trees, roots.tolist(),
-            np.split(route_start, np.cumsum([len(t.left) for t in forest.trees])[:-1]),
+            np.split(left, node_ends), np.split(route_start, node_ends),
             np.split(child, np.cumsum([len(t.routing) for t in forest.trees])[:-1]),
         ):
+            inner = tree.left >= 0
+            assert np.array_equal(down[inner], tree.left[inner].astype(np.int64) + root)
             assert np.array_equal(at, tree.route_start[:-1].astype(np.int64) + offset)
             widths = np.diff(tree.route_start.astype(np.int64))
             assert np.array_equal(to, np.repeat(tree.left.astype(np.int64) + root, widths)
