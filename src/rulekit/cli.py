@@ -278,10 +278,14 @@ def _jsonable(value: object) -> object:
 
 
 def dataset_digest(cfg: RunConfig) -> str:
+    """sha256 of the dictionary's bytes, a NUL and the data file's bytes,
+    read a fixed-size block at a time whatever the files' size."""
     h = hashlib.sha256()
-    h.update(cfg.dictionary.read_bytes())
-    h.update(b"\x00")
-    h.update(cfg.data.read_bytes())
+    for path, end in ((cfg.dictionary, b"\x00"), (cfg.data, b"")):
+        with open(path, "rb") as fh:
+            while block := fh.read(1 << 16):
+                h.update(block)
+        h.update(end)
     return h.hexdigest()
 
 

@@ -10,10 +10,18 @@ construction.
 
 A RecordSet stores its records in columnar form only: the record ids plus
 one read-only category-code matrix that every later stage reads, and its
-one constructor takes exactly those. Ingest (which holds one chunk of CSV
-rows at a time, besides the ids and codes) and filter steps turn category
-strings into codes through one helper, ``_category_codes``, which alone
-decides which strings a variable accepts; filtering slices the matrix.
+one constructor takes exactly those. Ingest reads a file path with a
+byte-level kernel first. It finds every comma and newline of a block of
+whole lines with numpy, and codes each cell that is byte for byte a
+category by comparing 8-byte words. It declines a file that ``csv.reader``
+might read otherwise (a quote, a NUL, a lone CR, a line with another cell
+count than the header's, a field over the size limit) or that holds a bad
+row. Then the reader loop over ``csv.reader``, which reads every stream,
+reads the file again from its start and names the first bad row. Either way
+ingest holds one block or chunk at a time, besides the ids and codes. Every
+cell that is not verbatim a category, and every filter step, goes through
+one helper, ``_category_codes``, which alone decides which strings a
+variable accepts; filtering slices the matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from enum import Enum
 from itertools import compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import IO, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -265,8 +273,14 @@ class RecordSet:
         return len(self.record_ids)
 
 
-#: Records that ingest reads, checks and encodes at a time.
+#: Records that the reader loop reads, checks and encodes at a time.
 _CHUNK_RECORDS = 1024
+
+#: Characters of text that the byte-level kernel reads at a time.
+_BLOCK_CHARS = 1 << 16
+
+#: ``_WORD_MASK[k]`` keeps the first k bytes of an 8-byte word in memory order.
+_WORD_MASK = np.frombuffer(b"".join(b"\xff" * k + bytes(8 - k) for k in range(9)), np.uint64)
 
 
 def _open_source(source: str | Path | IO[str]) -> tuple[IO[str], bool]:
@@ -292,31 +306,226 @@ def ingest(
     values are rejected under REJECT and coerced to "unknown" (when present)
     under COERCE. An error names the first bad row (or unparsable record) by
     its line number; in a file that is not valid UTF-8, the first line that
-    is not wins over any bad row. Ingest holds one chunk of rows, not the
-    file, at a time.
+    is not wins over any bad row.
+
+    A path is first read by a byte-level kernel, which codes whole blocks of
+    lines with numpy and holds one block, not the file, at a time. It
+    declines a file that ``csv.reader`` might read differently from plain
+    commas and newlines, or that holds any bad row; then, as for any other
+    stream, a reader loop over ``csv.reader`` reads the file from its start,
+    holding 1,024 rows at a time, and is the only source of row errors. Both
+    give the same RecordSet, and ``_category_codes`` decides every cell that
+    is not verbatim one of its variable's categories.
     """
+    if isinstance(source, (str, Path)):
+        rs = _ingest_clean(source, dictionary, policy, record_id_column)
+        if rs is not None:
+            return rs
+    return _ingest_rows(source, dictionary, policy, record_id_column)
+
+
+def _columns(
+    header: Sequence[str], dictionary: DataDictionary, record_id_column: str
+) -> tuple[int, list[tuple[VariableSchema, int]]]:
+    """The index of the record-id column, and each variable with its column's."""
+    position: dict[str, int] = {}
+    for i, col in enumerate(header):
+        norm = normalize_name(col)
+        if norm in position:
+            raise IngestError(f"duplicate column {norm!r} in header")
+        position[norm] = i
+    id_column = normalize_name(record_id_column)
+    missing = [v for v in (*dictionary.names, id_column) if v not in position]
+    if missing:
+        raise IngestError(f"missing column(s): {', '.join(sorted(missing))}")
+    return position[id_column], [(var, position[var.name]) for var in dictionary.variables]
+
+
+def _ingest_clean(
+    path: str | Path,
+    dictionary: DataDictionary,
+    policy: UnknownPolicy,
+    record_id_column: str,
+) -> RecordSet | None:
+    """``ingest`` of a clean CSV file, coded as bytes; None when it declines.
+
+    It accepts a file only where ``csv.reader`` provably reads the same
+    cells as a split at every comma and newline: no ``"``, no NUL, a CR only
+    in a CRLF, every data line with exactly the header's cell count and no
+    field longer than ``csv.field_size_limit()`` bytes. It also declines
+    invalid UTF-8, a header that ``ingest`` refuses, no data rows, an empty
+    or repeated record id, and a cell that ``_category_codes`` refuses, so
+    that the reader loop alone reports errors.
+    """
+    limit = csv.field_size_limit()
+    dtype = _codes_dtype(dictionary)
+    header = None
+    record_ids: list[str] = []
+    blocks: list[np.ndarray] = []
+    with _open_source(path)[0] as fh:
+        try:
+            for text in _whole_lines(fh):
+                if '"' in text or "\0" in text:
+                    return None
+                if "\r" in text:
+                    text = text.replace("\r\n", "\n")
+                    if "\r" in text:
+                        return None
+                if header is None:
+                    line, _, text = text.partition("\n")
+                    try:
+                        header = next(csv.reader([line]))
+                        id_index, columns = _columns(header, dictionary, record_id_column)
+                    except (csv.Error, IngestError):
+                        return None
+                    tables = [_category_words(var) for var, _ in columns]
+                    if not text:
+                        continue
+                coded = _code_lines(
+                    text.encode(), len(header), id_index, columns, tables, dtype, policy, limit
+                )
+                if coded is None:
+                    return None
+                record_ids += coded[0]
+                blocks.append(coded[1])
+        except UnicodeDecodeError:
+            return None
+    if not record_ids or len(set(record_ids)) < len(record_ids):
+        return None
+    return RecordSet(dictionary, tuple(record_ids), np.concatenate(blocks, axis=1))
+
+
+def _whole_lines(fh: IO[str]) -> Iterator[str]:
+    """The text of ``fh`` in blocks of whole lines, read ``_BLOCK_CHARS`` at a time.
+
+    Every block ends in a newline: the last line gets one if it has none.
+    """
+    parts: list[str] = []
+    while text := fh.read(_BLOCK_CHARS):
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield "".join((*parts, text[:cut]))
+            parts = []
+        parts.append(text[cut:])
+    if tail := "".join(parts):
+        yield tail + "\n"
+
+
+def _category_words(var: VariableSchema) -> tuple[np.ndarray, ...]:
+    """``var``'s categories as UTF-8 in zero-padded 8-byte words.
+
+    Returns the sorted first words, the category of each, and every
+    category's byte length and words.
+    """
+    encoded = [cat.encode() for cat in var.categories]
+    width = -(-max(map(len, encoded)) // 8)
+    words = np.frombuffer(
+        b"".join(cat.ljust(8 * width, b"\0") for cat in encoded), np.uint64
+    ).reshape(len(encoded), width)
+    order = np.argsort(words[:, 0], kind="stable")
+    return words[order, 0], order, np.array(list(map(len, encoded))), words
+
+
+def _code_lines(
+    data: bytes,
+    n_cells: int,
+    id_index: int,
+    columns: Sequence[tuple[VariableSchema, int]],
+    tables: Sequence[tuple[np.ndarray, ...]],
+    dtype: np.dtype,
+    policy: UnknownPolicy,
+    limit: int,
+) -> tuple[list[str], np.ndarray] | None:
+    """The record ids and codes of ``data``, lines that each end in LF and
+    hold no ``"``, NUL or CR; None when a line does not hold ``n_cells``
+    cells, a cell is over ``limit`` bytes, an id is empty or a cell is
+    refused."""
+    lines = data.count(b"\n")
+    if data.count(b",") != lines * (n_cells - 1):
+        return None
+    buf = np.frombuffer(data + bytes(8), np.uint8)  # every cell starts an 8-byte word
+    # bounds[k] and bounds[k + 1] enclose cell k: the separators, after a -1
+    bounds = np.empty(lines * n_cells + 1, np.intp)
+    bounds[0] = -1
+    bounds[1:] = np.flatnonzero((buf == 44) | (buf == 10))
+    if not (buf[bounds[n_cells::n_cells]] == 10).all():
+        return None
+    starts = bounds[:-1].reshape(lines, n_cells) + 1
+    ends = bounds[1:].reshape(lines, n_cells)
+    sizes = ends - starts
+    if sizes.max() > limit:
+        return None
+    ids = list(map(str.strip, _cell_texts(buf, starts[:, id_index], ends[:, id_index])))
+    if not all(ids):
+        return None
+    words = np.ndarray((len(buf) - 7,), np.uint64, buf, strides=(1,))
+    codes = np.empty((len(columns), lines), dtype)
+    for row, (var, index), table in zip(codes, columns, tables):
+        code = _verbatim_codes(words, starts[:, index], sizes[:, index], table)
+        miss = np.flatnonzero(code < 0)
+        if miss.size:
+            cells = _cell_texts(buf, starts[miss, index], ends[miss, index])
+            try:
+                code[miss] = _category_codes(var, list(map(str.strip, cells)), policy=policy)
+            except KeyError:
+                return None
+        row[:] = code
+    return ids, codes
+
+
+def _verbatim_codes(
+    words: np.ndarray, starts: np.ndarray, sizes: np.ndarray, table: tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """Each cell's category index where its bytes are exactly a category, else -1.
+
+    ``words[i]`` is the 8-byte word at byte i. A cell's first word finds one
+    candidate by ``searchsorted``; its length and every later word must then
+    match the candidate's. A cell whose first word more than one category
+    shares may miss; ``_category_codes`` still codes it.
+    """
+    keys, order, cat_sizes, cat_words = table
+    first = words[starts] & _WORD_MASK[np.minimum(sizes, 8)]
+    at = np.searchsorted(keys, first)
+    np.minimum(at, len(keys) - 1, out=at)
+    code = order[at]
+    match = (keys[at] == first) & (cat_sizes[code] == sizes)
+    for w in range(1, cat_words.shape[1]):
+        rest = np.flatnonzero(match & (sizes > 8 * w))
+        if not rest.size:
+            break
+        word = words[starts[rest] + 8 * w] & _WORD_MASK[np.minimum(sizes[rest] - 8 * w, 8)]
+        match[rest] = word == cat_words[code[rest], w]
+    code[~match] = -1
+    return code
+
+
+def _cell_texts(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The text of each cell ``buf[starts[i]:ends[i]]``, decoded in one call."""
+    sizes = ends - starts + 1  # with the separator after it, made a newline
+    stops = np.cumsum(sizes)
+    picked = buf[np.arange(stops[-1]) + np.repeat(starts - (stops - sizes), sizes)]
+    picked[stops - 1] = 10
+    return picked.tobytes().decode().split("\n")[:-1]
+
+
+def _ingest_rows(
+    source: str | Path | IO[str],
+    dictionary: DataDictionary,
+    policy: UnknownPolicy,
+    record_id_column: str,
+) -> RecordSet:
+    """``ingest`` by the reader loop: ``csv.reader``, 1,024 rows at a time."""
     fh, owns = _open_source(source)
     try:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise IngestError("empty input: record stream has no header")
-        position: dict[str, int] = {}
-        for i, col in enumerate(header):
-            norm = normalize_name(col)
-            if norm in position:
-                raise IngestError(f"duplicate column {norm!r} in header")
-            position[norm] = i
-        id_column = normalize_name(record_id_column)
-        missing = [v for v in (*dictionary.names, id_column) if v not in position]
-        if missing:
-            raise IngestError(f"missing column(s): {', '.join(sorted(missing))}")
+        id_index, columns = _columns(header, dictionary, record_id_column)
 
         def column(rows: list[list[str]], index: int) -> list[str]:
             return list(map(str.strip, map(itemgetter(index), rows)))
 
-        id_index = position[id_column]
-        columns = [(var, position[var.name]) for var in dictionary.variables]
         dtype = _codes_dtype(dictionary)
         record_ids: list[str] = []  # of the chunks accepted so far
         seen_ids: set[str] = set()

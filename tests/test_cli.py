@@ -7,13 +7,14 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import rulekit
-from rulekit.cli import RunConfig, config_digest, load_config, main
+from rulekit.cli import RunConfig, config_digest, dataset_digest, load_config, main
 from rulekit.forest import ForestConfig
 
 SAMPLE_CONFIG = Path(__file__).resolve().parent.parent / "sample" / "config.json"
@@ -446,6 +447,26 @@ class TestConfigErrors:
         args = ["describe", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "4"]
         assert main(args) == 0
         assert json.loads((tmp_path / "o" / "manifest.json").read_text())["config_hash"] == base
+
+    def test_dataset_digest_is_unchanged_and_reads_in_blocks(self, tmp_path):
+        sample = load_config(SAMPLE_CONFIG)
+        assert dataset_digest(sample) == (
+            "990f8638cc6e0a7e1b2e60a139c1695f3354a49a625061c0bb4dd30446e091b1"
+        )
+        cfg = load_config(write_workspace(tmp_path))
+        for size in (1 << 20, 8 << 20):
+            cfg.data.write_bytes(bytes(range(256)) * (size // 256))
+            want = hashlib.sha256(
+                cfg.dictionary.read_bytes() + b"\x00" + cfg.data.read_bytes()
+            ).hexdigest()
+            tracemalloc.start()
+            try:
+                got = dataset_digest(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == want
+            assert peak < 256 << 10, f"{peak} B for a {size} B data file"
 
     def test_integer_thresholds_read_as_their_floats(self, tmp_path):
         metas, hashes = set(), set()

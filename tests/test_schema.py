@@ -5,6 +5,7 @@ import io
 import json
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,6 +341,29 @@ class TestIngest:
         with pytest.raises(IngestError, match=r"^row 2: value 'sleet'"):
             ingest(path, weather_dict)
 
+    @pytest.mark.parametrize(
+        "categories,text,want",
+        [
+            # a short row, then a long row with as many more cells
+            (("a", "b"), "crash_number,v,notes\n1,a\n2,b,b,a\n", [("1", "a"), ("2", "b")]),
+            (("a", "b"), 'crash_number,v\n"1",a\n', [("1", "a")]),
+            # a lone CR ends a line
+            (("a", "b"), "crash_number,v,notes\n1,a,x\ry\n",
+             "row 3: missing value for 'v' and the variable declares no 'unknown' category"),
+            # zero bytes pad a category's 8-byte words: only its length tells "x" from "x\0"
+            (("x\0", "y"), "crash_number,v\n1,x\n", "row 2: value 'x' is not a category of 'v'"),
+        ],
+    )
+    def test_a_file_reads_as_the_csv_reader_reads_it(self, tmp_path, categories, text, want):
+        path = tmp_path / "records.csv"
+        path.write_text(text)
+        d = make_dictionary({"v": categories})
+        if isinstance(want, str):
+            with pytest.raises(IngestError, match=f"^{want}$"):
+                ingest(path, d)
+        else:
+            assert [(rid, row["v"]) for rid, row in rows_of(ingest(path, d))] == want
+
     def test_non_ascii_categories_still_read(self, tmp_path):
         d = make_dictionary({"weather": ("clear", "grésil")})
         path = tmp_path / "records.csv"
@@ -351,20 +375,33 @@ class TestIngest:
 def _random_csv(rng: random.Random, chunk: int):
     """A random CSV for ``ingest``: its text, dictionary and policy.
 
-    The files hold blank lines (a tail of them too), quoted newlines, short
-    and long rows, padded cells and header names that normalize, and are
-    about k * chunk + {-1, 0, 1} records long. Up to two bad rows are
-    planted, often beside a chunk boundary: an unknown or missing value, an
+    About half the files are clean enough for the byte-level kernel: no
+    quoted, blank, short or long rows. The others hold blank lines (a tail
+    of them too), quoted newlines, short and long rows. Any file may have
+    padded cells, header names that normalize, LF, CRLF or lone-CR line
+    ends, no final line end, a NUL or CR in a cell, or a line of only
+    whitespace. Categories may be non-ASCII, longer than 8 bytes, a prefix
+    of another or alike in their first 8 bytes. Files are about
+    k * chunk + {-1, 0, 1} records long. Up to two bad rows are
+    planted, often beside a chunk boundary: an unknown value (which may
+    differ from a category only in its last character), a missing value, an
     empty or duplicate id (its twin often in the chunk before), or a cell
     over the CSV field limit of 40 characters.
     """
     spec = {}
     for i in range(rng.randint(1, 3)):
         cats = [f"c{i}_{j}" for j in range(rng.randint(2, 4))]
+        if rng.random() < 0.5:
+            longer = ["grésil", "ñandú_muy_largo", "exactly8", "sixteen_bytes_ab",
+                      "sixteen_bytes_ac", "dark_with_streetlight", "dark_with_streetlight_on",
+                      f"c{i}_0_and_more"]
+            cats += rng.sample(longer, rng.randint(1, len(longer)))
         spec[f"v{i}"] = cats + ["unknown"] * (rng.random() < 0.5)
     dictionary = make_dictionary(spec)
     columns = ["crash_number", *spec, "notes"]
     rng.shuffle(columns)
+    clean = rng.random() < 0.5
+    notes = ("", "x") if clean else ("", "x", "two\nlines", "a,b")
     # cells a short row may leave off: missing there is a clean "unknown"
     optional = {"notes"} | {name for name, cats in spec.items() if "unknown" in cats}
     if rng.random() < 0.9:
@@ -373,18 +410,18 @@ def _random_csv(rng: random.Random, chunk: int):
         n = rng.randint(0, 1)
     rows = []
     for i in range(n):
-        cells = {"crash_number": f"r{i}", "notes": rng.choice(("", "x", "two\nlines", "a,b"))}
+        cells = {"crash_number": f"r{i}", "notes": rng.choice(notes)}
         cells.update((name, rng.choice(cats)) for name, cats in spec.items())
         row = [cells[c] for c in columns]
         if rng.random() < 0.1:
             k = rng.randrange(len(row))
             row[k] = rng.choice((" ", "\t", "  ")) + row[k] + rng.choice(("", " ", "\t"))
-        if rng.random() < 0.1:
+        if not clean and rng.random() < 0.1:
             keep = len(row)
             while keep > 1 and columns[keep - 1] in optional:
                 keep -= 1
             row = row[: rng.randint(keep, len(row))]
-        elif rng.random() < 0.1:
+        elif not clean and rng.random() < 0.1:
             row += ["extra"] * rng.randint(1, 2)
         rows.append(row)
 
@@ -394,7 +431,9 @@ def _random_csv(rng: random.Random, chunk: int):
         row = rows[at] + [""] * (len(columns) - len(rows[at]))
         kind = rng.choice(("value", "missing", "empty id", "duplicate id", "unparsable"))
         if kind == "value":
-            row[columns.index(rng.choice(list(spec)))] = "sleet"
+            name = rng.choice(list(spec))
+            near = rng.choice(spec[name])[:-1] + "~"  # a category's length and all but its end
+            row[columns.index(name)] = rng.choice(("sleet", near))
         elif kind == "missing":
             row[columns.index(rng.choice(list(spec)))] = " "
         elif kind == "empty id":
@@ -405,28 +444,56 @@ def _random_csv(rng: random.Random, chunk: int):
         elif kind == "unparsable":
             row[columns.index("notes")] = "y" * 41
         rows[at] = row
+    if rows and rng.random() < 0.1:
+        at = rng.randrange(n)
+        rows[at][rng.randrange(len(rows[at]))] += rng.choice(("\0", "\rx"))
+    if rng.random() < 0.05:
+        rows.insert(rng.randint(0, n), [rng.choice((" ", "\t", " \t "))])
 
+    end = rng.choice(("\r\n", "\r\n", "\n", "\n", "\r"))
     out = io.StringIO()
-    writer = csv.writer(out)
+    writer = csv.writer(out, lineterminator=end)
     writer.writerow([rng.choice((c, c.upper(), f" {c} ")) for c in columns])
     for row in rows:
-        writer.writerows([[]] * (rng.random() < 0.05))
+        writer.writerows([[]] * (not clean and rng.random() < 0.05))
         writer.writerow(row)
-    writer.writerows([[]] * rng.choice((0, 0, 1, 3)))
+    writer.writerows([[]] * (0 if clean else rng.choice((0, 0, 1, 3))))
+    text = out.getvalue()
+    if rng.random() < 0.2:
+        text = text.removesuffix(end)
     policy = rng.choice((UnknownPolicy.REJECT, UnknownPolicy.COERCE))
-    return out.getvalue(), dictionary, policy
+    return text, dictionary, policy
 
 
-def _ingest_outcome(ingest_fn, text, bom, dictionary, policy, tmp_dir):
-    if bom:
-        source = tmp_dir / "records.csv"
-        source.write_bytes(text.encode("utf-8-sig"))
-    else:
-        source = io.StringIO(text)
+def _ingest_outcome(ingest_fn, source, dictionary, policy):
     try:
         return ingest_fn(source, dictionary, policy)
     except IngestError as exc:
         return f"IngestError: {exc}"
+
+
+def _assert_same_outcome(got, want):
+    assert got == want
+    if isinstance(want, RecordSet):
+        assert got.codes.dtype == want.codes.dtype
+        assert got.codes.flags.c_contiguous and not got.codes.flags.writeable
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the reader loop ran")
+
+
+def _write_tall_csv(path, n, categories, end, id_column="crash_number"):
+    """``n`` rows of 12 variables over ``categories`` and a yes/no outcome."""
+    rng = random.Random(7)
+    names = [f"v{i:02d}" for i in range(1, 13)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator=end)
+        writer.writerow([id_column, *names, "outcome"])
+        for r in range(n):
+            cells = (rng.choice(categories) for _ in names)
+            writer.writerow([f"R{r + 1:06d}", *cells, rng.choice(("yes", "no"))])
+    return make_dictionary({**dict.fromkeys(names, categories), "outcome": ("yes", "no")})
 
 
 class TestStreamingIngest:
@@ -434,22 +501,39 @@ class TestStreamingIngest:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_matches_the_whole_file_reference(self, chunk, seed, tmp_path_factory):
+        # a path takes the byte-level kernel first, at any block size; a stream never does
         rng = random.Random(seed)
         text, dictionary, policy = _random_csv(rng, chunk)
-        bom = rng.random() < 0.3
-        tmp_dir = tmp_path_factory.mktemp("ingest") if bom else None
+        path = tmp_path_factory.mktemp("ingest") / "records.csv"
+        path.write_bytes(text.encode("utf-8-sig" if rng.random() < 0.3 else "utf-8"))
         limit = csv.field_size_limit(40)
         try:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(schema, "_CHUNK_RECORDS", chunk)
-                got = _ingest_outcome(ingest, text, bom, dictionary, policy, tmp_dir)
-            want = _ingest_outcome(reference_ingest, text, bom, dictionary, policy, tmp_dir)
+                got = _ingest_outcome(ingest, io.StringIO(text), dictionary, policy)
+                want = _ingest_outcome(reference_ingest, io.StringIO(text), dictionary, policy)
+                _assert_same_outcome(got, want)
+                want = _ingest_outcome(reference_ingest, path, dictionary, policy)
+                for block in (1, 7, 64, schema._BLOCK_CHARS):
+                    mp.setattr(schema, "_BLOCK_CHARS", block)
+                    _assert_same_outcome(_ingest_outcome(ingest, path, dictionary, policy), want)
         finally:
             csv.field_size_limit(limit)
-        assert got == want
-        if isinstance(want, RecordSet):
-            assert got.codes.dtype == want.codes.dtype
-            assert got.codes.flags.c_contiguous and not got.codes.flags.writeable
+
+    def test_clean_files_take_the_byte_kernel(self, tmp_path, monkeypatch):
+        sample = Path(__file__).resolve().parent.parent / "sample"
+        tall = tmp_path / "tall.csv"
+        tall_dictionary = _write_tall_csv(tall, 20_000, [f"c{j}" for j in range(6)], "\n", "rid")
+        files = [
+            (sample / "crashes.csv", load_dictionary(sample / "dictionary.json"), "crash_number"),
+            (tall, tall_dictionary, "rid"),
+        ]
+        assert b"\r\n" in files[0][0].read_bytes()
+        want = [schema._ingest_rows(path, d, UnknownPolicy.REJECT, id_column)
+                for path, d, id_column in files]
+        monkeypatch.setattr(schema, "_ingest_rows", _refuse)
+        for (path, d, id_column), rs in zip(files, want):
+            _assert_same_outcome(ingest(path, d, record_id_column=id_column), rs)
 
     def test_peak_memory_is_one_chunk_plus_the_result(self, tmp_path):
         n = 20_000
@@ -463,6 +547,21 @@ class TestStreamingIngest:
             writer.writerow(["crash_number", *dictionary.names])
             for r in range(n):
                 writer.writerow([f"R{r + 1:06d}", *(f"c{rng.randrange(6)}" for _ in range(13))])
+        tracemalloc.start()
+        try:
+            rs = ingest(path, dictionary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rs) == n
+        assert peak / n < 300, f"{peak / n:.0f} B/row"
+
+    def test_peak_memory_of_a_crlf_file_with_20_byte_categories(self, tmp_path, monkeypatch):
+        n = 20_000
+        path = tmp_path / "tall.csv"
+        categories = [f"category_{j}".ljust(20, "x") for j in range(6)]
+        dictionary = _write_tall_csv(path, n, categories, "\r\n")
+        monkeypatch.setattr(schema, "_ingest_rows", _refuse)
         tracemalloc.start()
         try:
             rs = ingest(path, dictionary)
