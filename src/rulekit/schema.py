@@ -10,28 +10,30 @@ construction.
 
 A RecordSet stores its records in columnar form only: the record ids plus
 one read-only category-code matrix that every later stage reads, and its
-one constructor takes exactly those. Ingest reads a file path with a
-byte-level kernel first. It finds every comma and newline of a block of
-whole lines with numpy, and codes each cell that is byte for byte a
-category by comparing 8-byte words. It declines a file that ``csv.reader``
-might read otherwise (a quote, a NUL, a lone CR, a line with another cell
-count than the header's, a field over the size limit) or that holds a bad
-row. Then the reader loop over ``csv.reader``, which reads every stream,
-reads the file again from its start and names the first bad row. Either way
-ingest holds one block or chunk at a time, besides the ids and codes. Every
-cell that is not verbatim a category, and every filter step, goes through
-one helper, ``_category_codes``, which alone decides which strings a
-variable accepts; filtering slices the matrix.
+one constructor takes exactly those. Ingest reads its source once, the
+header with ``csv.reader``. A file path's lines after it go to a
+byte-level kernel, a block of whole lines at a time: it finds every comma
+and newline with numpy and codes each cell that is byte for byte a category
+by comparing 8-byte words. At the first block that ``csv.reader`` might
+read otherwise (a quote, a NUL, a lone CR, a line with another cell count
+than the header's, a field over the size limit) or that holds a bad row,
+the reader loop over ``csv.reader``, which reads every other stream from
+its first row, reads on from that block and names the first bad row.
+Either way ingest holds one block or chunk at a time, besides the ids and
+codes. Every cell that is not verbatim a category, and every filter step,
+goes through one helper, ``_category_codes``, which alone decides which
+strings a variable accepts; filtering slices the matrix.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterator, Mapping, Sequence
@@ -308,20 +310,93 @@ def ingest(
     its line number; in a file that is not valid UTF-8, the first line that
     is not wins over any bad row.
 
-    A path is first read by a byte-level kernel, which codes whole blocks of
-    lines with numpy and holds one block, not the file, at a time. It
-    declines a file that ``csv.reader`` might read differently from plain
-    commas and newlines, or that holds any bad row; then, as for any other
-    stream, a reader loop over ``csv.reader`` reads the file from its start,
-    holding 1,024 rows at a time, and is the only source of row errors. Both
-    give the same RecordSet, and ``_category_codes`` decides every cell that
-    is not verbatim one of its variable's categories.
+    The source is read once, and its header by ``csv.reader``. After the
+    header, a path is read in blocks of whole lines, which a byte-level
+    kernel codes with numpy, up to the first block that it cannot code: one
+    that ``csv.reader`` might read differently from plain commas and
+    newlines, or that holds a bad row. From that block on, and for any other
+    stream from its first row, a reader loop over ``csv.reader`` reads on,
+    1,024 rows at a time, and is the only source of row errors. Either way
+    ingest holds one block or chunk at a time, besides the ids and codes,
+    and ``_category_codes`` decides every cell that is not verbatim one of
+    its variable's categories.
     """
-    if isinstance(source, (str, Path)):
-        rs = _ingest_clean(source, dictionary, policy, record_id_column)
-        if rs is not None:
-            return rs
-    return _ingest_rows(source, dictionary, policy, record_id_column)
+    fh, owns = _open_source(source)
+    skipped = 0  # lines read before the reader's first
+    try:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise IngestError("empty input: record stream has no header")
+        id_index, columns = _columns(header, dictionary, record_id_column)
+        dtype = _codes_dtype(dictionary)
+        record_ids: list[str] = []  # of the blocks and chunks accepted so far
+        seen_ids: set[str] = set()
+        blocks: list[np.ndarray] = []
+        if owns:
+            tables = [_category_words(var) for var, _ in columns]
+            texts = _whole_lines(fh)
+            for text in texts:
+                coded = _code_lines(text, len(header), id_index, columns, tables, dtype, policy)
+                if coded is not None:
+                    seen_ids.update(coded[0])
+                    if len(seen_ids) == len(record_ids) + len(coded[0]):
+                        record_ids += coded[0]
+                        blocks.append(coded[1])
+                        continue
+                    seen_ids = set(record_ids)  # an id repeats
+                texts = chain([text], texts)
+                break
+            # each line the kernel coded is one record: it codes no blank line
+            skipped = reader.line_num + len(record_ids)
+            reader = csv.reader(chain.from_iterable(io.StringIO(t, newline="") for t in texts))
+
+        def column(rows: list[list[str]], index: int) -> list[str]:
+            return list(map(str.strip, map(itemgetter(index), rows)))
+
+        records = filter(None, reader)  # blank lines are skipped
+        while True:
+            # Errors name a row by its last line; blank lines and quoted newlines skew its index.
+            rows, lines, malformed = [], [], None
+            try:
+                for row in islice(records, _CHUNK_RECORDS):
+                    rows.append(row)
+                    lines.append(skipped + reader.line_num)
+            except csv.Error as exc:
+                malformed = exc  # raised after any bad row before it
+            if min(map(len, rows), default=len(header)) < len(header):
+                rows = [row + [""] * (len(header) - len(row)) for row in rows]
+            ids = column(rows, id_index)
+            block = np.empty((len(columns), len(rows)), dtype)
+            try:
+                for codes, (var, index) in zip(block, columns):
+                    codes[:] = _category_codes(var, column(rows, index), codes.dtype, policy)
+            except KeyError:
+                accepted = False
+            else:
+                seen_ids.update(ids)
+                accepted = all(ids) and len(seen_ids) == len(record_ids) + len(ids)
+            if not accepted:
+                raise _first_bad_row(rows, lines, id_index, columns, policy, set(record_ids))
+            record_ids += ids
+            blocks.append(block)
+            if malformed is not None:
+                raise malformed
+            if len(rows) < _CHUNK_RECORDS:
+                break
+    except (csv.Error, IngestError, UnicodeDecodeError) as exc:
+        # The decoder reads ahead of the parser, so invalid UTF-8 anywhere in the file wins.
+        if owns and (line := _undecodable_line(source)):
+            raise IngestError(f"row {line}: not valid UTF-8") from None
+        if isinstance(exc, csv.Error):
+            raise IngestError(f"row {skipped + reader.line_num}: {exc}") from None
+        raise
+    finally:
+        if owns:
+            fh.close()
+    if not record_ids:
+        raise IngestError("empty input: record stream has no data rows")
+    return RecordSet(dictionary, tuple(record_ids), np.concatenate(blocks, axis=1))
 
 
 def _columns(
@@ -341,74 +416,23 @@ def _columns(
     return position[id_column], [(var, position[var.name]) for var in dictionary.variables]
 
 
-def _ingest_clean(
-    path: str | Path,
-    dictionary: DataDictionary,
-    policy: UnknownPolicy,
-    record_id_column: str,
-) -> RecordSet | None:
-    """``ingest`` of a clean CSV file, coded as bytes; None when it declines.
-
-    It accepts a file only where ``csv.reader`` provably reads the same
-    cells as a split at every comma and newline: no ``"``, no NUL, a CR only
-    in a CRLF, every data line with exactly the header's cell count and no
-    field longer than ``csv.field_size_limit()`` bytes. It also declines
-    invalid UTF-8, a header that ``ingest`` refuses, no data rows, an empty
-    or repeated record id, and a cell that ``_category_codes`` refuses, so
-    that the reader loop alone reports errors.
-    """
-    limit = csv.field_size_limit()
-    dtype = _codes_dtype(dictionary)
-    header = None
-    record_ids: list[str] = []
-    blocks: list[np.ndarray] = []
-    with _open_source(path)[0] as fh:
-        try:
-            for text in _whole_lines(fh):
-                if '"' in text or "\0" in text:
-                    return None
-                if "\r" in text:
-                    text = text.replace("\r\n", "\n")
-                    if "\r" in text:
-                        return None
-                if header is None:
-                    line, _, text = text.partition("\n")
-                    try:
-                        header = next(csv.reader([line]))
-                        id_index, columns = _columns(header, dictionary, record_id_column)
-                    except (csv.Error, IngestError):
-                        return None
-                    tables = [_category_words(var) for var, _ in columns]
-                    if not text:
-                        continue
-                coded = _code_lines(
-                    text.encode(), len(header), id_index, columns, tables, dtype, policy, limit
-                )
-                if coded is None:
-                    return None
-                record_ids += coded[0]
-                blocks.append(coded[1])
-        except UnicodeDecodeError:
-            return None
-    if not record_ids or len(set(record_ids)) < len(record_ids):
-        return None
-    return RecordSet(dictionary, tuple(record_ids), np.concatenate(blocks, axis=1))
-
-
 def _whole_lines(fh: IO[str]) -> Iterator[str]:
-    """The text of ``fh`` in blocks of whole lines, read ``_BLOCK_CHARS`` at a time.
+    """The rest of ``fh`` in blocks of whole lines, read ``_BLOCK_CHARS`` at a time.
 
-    Every block ends in a newline: the last line gets one if it has none.
+    A block ends at its read's last LF or else at a lone CR, never inside a
+    CRLF, so the blocks split into the lines that ``fh`` does. The file's
+    last line ends the last block as it is, with or without a line end.
     """
     parts: list[str] = []
     while text := fh.read(_BLOCK_CHARS):
-        cut = text.rfind("\n") + 1
+        # a CR that ends the read may be the first half of a CRLF
+        cut = text.rfind("\n") + 1 or text.rfind("\r", 0, -1) + 1
         if cut:
             yield "".join((*parts, text[:cut]))
             parts = []
         parts.append(text[cut:])
     if tail := "".join(parts):
-        yield tail + "\n"
+        yield tail
 
 
 def _category_words(var: VariableSchema) -> tuple[np.ndarray, ...]:
@@ -427,19 +451,31 @@ def _category_words(var: VariableSchema) -> tuple[np.ndarray, ...]:
 
 
 def _code_lines(
-    data: bytes,
+    text: str,
     n_cells: int,
     id_index: int,
     columns: Sequence[tuple[VariableSchema, int]],
     tables: Sequence[tuple[np.ndarray, ...]],
     dtype: np.dtype,
     policy: UnknownPolicy,
-    limit: int,
 ) -> tuple[list[str], np.ndarray] | None:
-    """The record ids and codes of ``data``, lines that each end in LF and
-    hold no ``"``, NUL or CR; None when a line does not hold ``n_cells``
-    cells, a cell is over ``limit`` bytes, an id is empty or a cell is
-    refused."""
+    """The record ids and codes of ``text``, whole lines of records.
+
+    It codes only lines that ``csv.reader`` provably splits at every comma
+    and line end: None when ``text`` holds a ``"``, a NUL or a CR outside a
+    CRLF, or a line of other than ``n_cells`` cells or a field over
+    ``csv.field_size_limit()`` bytes. It is None too when an id is empty or
+    a cell is refused.
+    """
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    data = text.encode()
+    if not data.endswith(b"\n"):
+        data += b"\n"  # the file's last line
     lines = data.count(b"\n")
     if data.count(b",") != lines * (n_cells - 1):
         return None
@@ -453,7 +489,7 @@ def _code_lines(
     starts = bounds[:-1].reshape(lines, n_cells) + 1
     ends = bounds[1:].reshape(lines, n_cells)
     sizes = ends - starts
-    if sizes.max() > limit:
+    if sizes.max() > csv.field_size_limit():
         return None
     ids = list(map(str.strip, _cell_texts(buf, starts[:, id_index], ends[:, id_index])))
     if not all(ids):
@@ -506,73 +542,6 @@ def _cell_texts(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[s
     picked = buf[np.arange(stops[-1]) + np.repeat(starts - (stops - sizes), sizes)]
     picked[stops - 1] = 10
     return picked.tobytes().decode().split("\n")[:-1]
-
-
-def _ingest_rows(
-    source: str | Path | IO[str],
-    dictionary: DataDictionary,
-    policy: UnknownPolicy,
-    record_id_column: str,
-) -> RecordSet:
-    """``ingest`` by the reader loop: ``csv.reader``, 1,024 rows at a time."""
-    fh, owns = _open_source(source)
-    try:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise IngestError("empty input: record stream has no header")
-        id_index, columns = _columns(header, dictionary, record_id_column)
-
-        def column(rows: list[list[str]], index: int) -> list[str]:
-            return list(map(str.strip, map(itemgetter(index), rows)))
-
-        dtype = _codes_dtype(dictionary)
-        record_ids: list[str] = []  # of the chunks accepted so far
-        seen_ids: set[str] = set()
-        blocks: list[np.ndarray] = []
-        records = filter(None, reader)  # blank lines are skipped
-        while True:
-            # Errors name a row by its last line; blank lines and quoted newlines skew its index.
-            rows, lines, malformed = [], [], None
-            try:
-                for row in islice(records, _CHUNK_RECORDS):
-                    rows.append(row)
-                    lines.append(reader.line_num)
-            except csv.Error as exc:
-                malformed = exc  # raised after any bad row before it
-            if min(map(len, rows), default=len(header)) < len(header):
-                rows = [row + [""] * (len(header) - len(row)) for row in rows]
-            ids = column(rows, id_index)
-            block = np.empty((len(columns), len(rows)), dtype)
-            try:
-                for codes, (var, index) in zip(block, columns):
-                    codes[:] = _category_codes(var, column(rows, index), codes.dtype, policy)
-            except KeyError:
-                accepted = False
-            else:
-                seen_ids.update(ids)
-                accepted = all(ids) and len(seen_ids) == len(record_ids) + len(ids)
-            if not accepted:
-                raise _first_bad_row(rows, lines, id_index, columns, policy, set(record_ids))
-            record_ids += ids
-            blocks.append(block)
-            if malformed is not None:
-                raise malformed
-            if len(rows) < _CHUNK_RECORDS:
-                break
-    except (csv.Error, IngestError, UnicodeDecodeError) as exc:
-        # The decoder reads ahead of the parser, so invalid UTF-8 anywhere in the file wins.
-        if owns and (line := _undecodable_line(source)):
-            raise IngestError(f"row {line}: not valid UTF-8") from None
-        if isinstance(exc, csv.Error):
-            raise IngestError(f"row {reader.line_num}: {exc}") from None
-        raise
-    finally:
-        if owns:
-            fh.close()
-    if not record_ids:
-        raise IngestError("empty input: record stream has no data rows")
-    return RecordSet(dictionary, tuple(record_ids), np.concatenate(blocks, axis=1))
 
 
 def _undecodable_line(path: str | Path) -> int | None:

@@ -479,8 +479,21 @@ def _assert_same_outcome(got, want):
         assert got.codes.flags.c_contiguous and not got.codes.flags.writeable
 
 
-def _refuse(*args, **kwargs):
-    raise AssertionError("the reader loop ran")
+def _count_csv_lines(monkeypatch):
+    """From now on, count in ``[0]`` the lines that ``csv.reader`` is handed."""
+    count = [0]
+    reader = csv.reader
+
+    def counting_reader(lines, *args, **kwargs):
+        def counted():
+            for line in lines:
+                count[0] += 1
+                yield line
+
+        return reader(counted(), *args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", counting_reader)
+    return count
 
 
 def _write_tall_csv(path, n, categories, end, id_column="crash_number"):
@@ -521,6 +534,7 @@ class TestStreamingIngest:
             csv.field_size_limit(limit)
 
     def test_clean_files_take_the_byte_kernel(self, tmp_path, monkeypatch):
+        # csv.reader reads only their header: the kernel codes every row
         sample = Path(__file__).resolve().parent.parent / "sample"
         tall = tmp_path / "tall.csv"
         tall_dictionary = _write_tall_csv(tall, 20_000, [f"c{j}" for j in range(6)], "\n", "rid")
@@ -529,11 +543,56 @@ class TestStreamingIngest:
             (tall, tall_dictionary, "rid"),
         ]
         assert b"\r\n" in files[0][0].read_bytes()
-        want = [schema._ingest_rows(path, d, UnknownPolicy.REJECT, id_column)
+        want = [reference_ingest(path, d, record_id_column=id_column)
                 for path, d, id_column in files]
-        monkeypatch.setattr(schema, "_ingest_rows", _refuse)
+        lines_read = _count_csv_lines(monkeypatch)
         for (path, d, id_column), rs in zip(files, want):
+            lines_read[0] = 0
             _assert_same_outcome(ingest(path, d, record_id_column=id_column), rs)
+            assert lines_read[0] == 1
+
+    @pytest.mark.parametrize("odd", [",extra\n", "\n\n"])
+    def test_an_odd_line_late_in_a_file_costs_one_block(self, tmp_path, monkeypatch, odd):
+        # a long last row, or a blank line at the end: csv.reader reads on
+        # from the kernel's last block, not the file again from its start
+        path = tmp_path / "tall.csv"
+        dictionary = _write_tall_csv(path, 20_000, [f"c{j}" for j in range(6)], "\n")
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines)[:-1] + odd)
+        want = reference_ingest(path, dictionary)
+        lines_read = _count_csv_lines(monkeypatch)
+        _assert_same_outcome(ingest(path, dictionary), want)
+        block_lines = schema._BLOCK_CHARS // min(map(len, lines)) + 2  # with the blank line
+        assert 1 < lines_read[0] <= 1 + block_lines
+
+    @pytest.mark.parametrize(
+        "tail,want",
+        [
+            # the twin of the repeated id is in a block that the kernel coded
+            ("r41,clear,dry,x\r\nr7,rain,wet,x\r\n", "row 44: duplicate record_id 'r7'"),
+            # a blank line hands off; the row numbers after it count the two
+            # header lines, every coded CRLF line and the blank line
+            ("\r\nr41,clear,dry,x\r\nr42,sleet,dry,x\r\n",
+             "row 45: value 'sleet' is not a category of 'weather'"),
+            ('\r\nr41,clear,dry,x\r\nr42,rain,wet,"' + "y" * 200_000 + '"\r\n',
+             "row 45: field larger than field limit (131072)"),
+        ],
+        ids=["duplicate", "value", "unparsable"],
+    )
+    def test_rows_after_the_hand_off_keep_their_numbers(
+        self, tmp_path, monkeypatch, weather_dict, tail, want
+    ):
+        path = tmp_path / "records.csv"
+        head = 'crash_number,weather,road,"notes\r\nmore"\r\n'
+        rows = "".join(f"r{i},clear,dry,x\r\n" for i in range(1, 41))
+        path.write_bytes((head + rows + tail).encode())
+        want = f"IngestError: {want}"
+        assert _ingest_outcome(reference_ingest, path, weather_dict, UnknownPolicy.REJECT) == want
+        monkeypatch.setattr(schema, "_BLOCK_CHARS", 64)
+        monkeypatch.setattr(schema, "_CHUNK_RECORDS", 2)
+        lines_read = _count_csv_lines(monkeypatch)
+        assert _ingest_outcome(ingest, path, weather_dict, UnknownPolicy.REJECT) == want
+        assert lines_read[0] < 20  # the kernel coded most rows
 
     def test_peak_memory_is_one_chunk_plus_the_result(self, tmp_path):
         n = 20_000
@@ -556,12 +615,13 @@ class TestStreamingIngest:
         assert len(rs) == n
         assert peak / n < 300, f"{peak / n:.0f} B/row"
 
-    def test_peak_memory_of_a_crlf_file_with_20_byte_categories(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_peak_memory_of_a_file_with_20_byte_categories(self, tmp_path, monkeypatch, end):
         n = 20_000
         path = tmp_path / "tall.csv"
         categories = [f"category_{j}".ljust(20, "x") for j in range(6)]
-        dictionary = _write_tall_csv(path, n, categories, "\r\n")
-        monkeypatch.setattr(schema, "_ingest_rows", _refuse)
+        dictionary = _write_tall_csv(path, n, categories, end)
+        lines_read = _count_csv_lines(monkeypatch)
         tracemalloc.start()
         try:
             rs = ingest(path, dictionary)
@@ -569,6 +629,8 @@ class TestStreamingIngest:
         finally:
             tracemalloc.stop()
         assert len(rs) == n
+        # the kernel codes every CRLF line, and csv.reader every line after a lone CR
+        assert lines_read[0] == (1 if end == "\r\n" else 1 + n)
         assert peak / n < 300, f"{peak / n:.0f} B/row"
 
 
